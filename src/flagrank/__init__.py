@@ -12,8 +12,7 @@ deterministic CLI.
 __version__ = "1.0.0"
 
 from . import errors
-from .algebra import Chart, PointQ, Polynomial, RatFunc, arith, evaluate, \
-    partial_derivative, poly_gcd
+from .algebra import Chart, PointQ, Polynomial, RatFunc, poly_gcd
 from .calculus import OneForm, VectorField, coordinate_field, coordinate_form, \
     lie_bracket, pairing
 from .classification import AdaptedFrame, BracketForm, PointClass, \
@@ -26,15 +25,15 @@ from .distribution import Distribution, GrowthVector, annihilator_frame, \
     square_root_subdistribution
 from .dsl import Model, ModelSource, elaborate, load_model, parse, parse_scalar, \
     render_model
-from .linalg import Echelon, MatrixRF, kernel_basis, rank_at, rank_generic, \
+from .linalg import Echelon, MatrixRF, kernel_basis, rank_generic, \
     solve_in_span
 from .models import ModelSpec, catalog_list, emit_dsl, eq3_parameter_chart, \
     eq3_source, eq4_parameter_chart, eq4_source, get_model, lift_pair, \
     model_elliptic_demo, model_eq3, model_eq4, model_eq5, model_eq6, \
     model_g1_flat, model_hyperbolic_demo, model_j21
-from .parabolic import BranchReport, FlagBranch, ParabolicFlag, RelationCheck, \
-    SymbolAlgebra, SymbolClass, Verdict, b2_integrable, branch_classify, \
-    completely_nondegenerate, e_subdistribution, parabolic_flag, \
-    symbol_algebra_at, symbol_d_function, verify_flag_relations
+from .parabolic import Analysis, BranchReport, FlagBranch, ParabolicFlag, \
+    RelationCheck, SymbolAlgebra, SymbolClass, Verdict, b2_integrable, \
+    branch_classify, completely_nondegenerate, e_subdistribution, \
+    parabolic_flag, symbol_algebra_at, symbol_d_function, verify_flag_relations
 
 __all__ = [name for name in dir() if not name.startswith("_")]

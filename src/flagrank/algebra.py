@@ -588,10 +588,6 @@ class RatFunc:
         return cls(Polynomial.constant(chart, q.numerator),
                    Polynomial.constant(chart, q.denominator))
 
-    @classmethod
-    def from_polynomial(cls, p):
-        return cls(p, Polynomial.one(p.chart))
-
     @property
     def chart(self):
         return self.num.chart
@@ -745,27 +741,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
-
-
-def arith(a, b, op):
-    """Dispatch arithmetic by name; mirrors the operator overloads."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def partial_derivative(f, var):
-    return f.derivative(var)
-
-
-def evaluate(f, point):
-    return f.evaluate(point)
 
 
 class PointQ:

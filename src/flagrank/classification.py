@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import PointQ
 from .calculus import VectorField, coordinate_field, lie_bracket
@@ -78,10 +79,6 @@ class BracketForm:
         return (self.a11.evaluate(point), self.a12.evaluate(point),
                 self.a22.evaluate(point))
 
-    def entries_rendered(self):
-        return {"a11": self.a11.render(), "a12": self.a12.render(),
-                "a21": self.a21.render(), "a22": self.a22.render()}
-
 
 def _complete_with_field(base_fields, candidates, want_rank):
     """First candidate enlarging the span; prefers all-constant-pivot frames.
@@ -106,31 +103,7 @@ def _complete_with_field(base_fields, candidates, want_rank):
 
 def adapted_frame(dist):
     """Deterministic adapted frame; requires growth vector (3,5,6)."""
-    steps, growth = derived_flag(dist)
-    if growth.ranks != (3, 5, 6):
-        raise NotGrowth356(f"growth vector is {growth.render()}")
-    chart = dist.chart
-    plane = square_root_subdistribution(dist)
-    x1, x2 = plane.frame
-    y = _complete_with_field([x1, x2], list(dist.frame), 3)
-    if y is None:
-        raise ConsistencyError("no frame field completes the square-root plane")
-    y1 = lie_bracket(y, x1)
-    y2 = lie_bracket(y, x2)
-    five = [x1, x2, y, y1, y2]
-    ech = Echelon(chart.dimension, [f.coefficients for f in five])
-    if ech.rank != 5:
-        raise ConsistencyError("adapted five-frame does not have rank 5")
-    pivot_cols = set(ech.pivot_columns())
-    missing = [i for i in range(chart.dimension) if i not in pivot_cols]
-    z_var = chart.variables[missing[0]]
-    z = coordinate_field(chart, z_var)
-    notes = (
-        "X1,X2: square-root plane kernel basis",
-        f"Y: frame field #{list(dist.frame).index(y)} (constant-pivot preferred)",
-        f"Z: coordinate direction @{z_var} (echelon complement)",
-    )
-    return AdaptedFrame(x1, x2, y, y1, y2, z, notes)
+    return Classification(dist).frame
 
 
 def bracket_form(dist, frame):
@@ -214,26 +187,11 @@ def classify_form_generic(form, seed=0, budget=200):
 
 
 def classify_generic(dist):
-    frame = adapted_frame(dist)
-    return classify_form_generic(bracket_form(dist, frame))
-
-
-def _classify_at_with(dist, form, steps, point):
-    if growth_at(dist, point, steps) != (3, 5, 6):
-        raise NotGrowth356(f"growth vector at {point.render()} is not (3,5,6)")
-    if form.frame.rank_at(point) != dist.chart.dimension:
-        raise PoleAtPoint(
-            f"adapted frame degenerates at {point.render()}; choose another point")
-    a11, a12, a22 = form.evaluate(point)
-    return _classify_values(a11, a12, a22)
+    return Classification(dist).generic_class()
 
 
 def classify_at(dist, point):
-    steps, growth = derived_flag(dist)
-    if growth.ranks != (3, 5, 6):
-        raise NotGrowth356(f"growth vector is {growth.render()}")
-    frame = adapted_frame(dist)
-    return _classify_at_with(dist, bracket_form(dist, frame), steps, point)
+    return Classification(dist).class_at(point)
 
 
 @dataclass(frozen=True)
@@ -286,36 +244,113 @@ def regularity_scan(dist, n_samples=20, seed=0, retry_factor=25):
     point whose class differs from the generic one makes the verdict
     singular.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    steps, growth = derived_flag(dist)
-    if growth.ranks != (3, 5, 6):
-        raise NotGrowth356(f"growth vector is {growth.render()}")
-    frame = adapted_frame(dist)
-    form = bracket_form(dist, frame)
-    generic = classify_form_generic(form, seed=seed)
-    samples = []
-    skipped = []
-    stream = sample_points(dist.chart, seed)
-    budget = n_samples * retry_factor
-    while len(samples) < n_samples:
-        if budget == 0:
-            raise SampleBudgetExhausted(
-                f"no {n_samples} usable sample points within budget")
-        budget -= 1
-        p = next(stream)
-        try:
-            if growth_at(dist, p, steps) != (3, 5, 6):
-                skipped.append(SkippedRow(p, "growth-drop"))
+    return Classification(dist).scan(n_samples, seed, retry_factor)
+
+
+class Classification:
+    """The classification stages of one distribution, each built at most once.
+
+    Derived flag, adapted frame, bracket form, generic class (per seed) and
+    regularity scan (per argument triple) are built on first use and kept for
+    the object's life: one request or one public call.
+    """
+
+    def __init__(self, dist):
+        self.dist = dist
+        self._classes = {}
+        self._scans = {}
+
+    @cached_property
+    def derived(self):
+        """``(steps, growth)`` of the derived flag, whatever the growth."""
+        return derived_flag(self.dist)
+
+    @property
+    def steps(self):
+        """The derived-flag steps; raises NotGrowth356 unless growth is (3,5,6)."""
+        steps, growth = self.derived
+        if growth.ranks != (3, 5, 6):
+            raise NotGrowth356(f"growth vector is {growth.render()}")
+        return steps
+
+    @cached_property
+    def frame(self):
+        dist = self.dist
+        self.steps  # raises NotGrowth356 before any frame work
+        chart = dist.chart
+        plane = square_root_subdistribution(dist)
+        x1, x2 = plane.frame
+        y = _complete_with_field([x1, x2], list(dist.frame), 3)
+        if y is None:
+            raise ConsistencyError("no frame field completes the square-root plane")
+        y1 = lie_bracket(y, x1)
+        y2 = lie_bracket(y, x2)
+        five = [x1, x2, y, y1, y2]
+        ech = Echelon(chart.dimension, [f.coefficients for f in five])
+        if ech.rank != 5:
+            raise ConsistencyError("adapted five-frame does not have rank 5")
+        pivot_cols = set(ech.pivot_columns())
+        missing = [i for i in range(chart.dimension) if i not in pivot_cols]
+        z_var = chart.variables[missing[0]]
+        z = coordinate_field(chart, z_var)
+        notes = (
+            "X1,X2: square-root plane kernel basis",
+            f"Y: frame field #{list(dist.frame).index(y)} (constant-pivot preferred)",
+            f"Z: coordinate direction @{z_var} (echelon complement)",
+        )
+        return AdaptedFrame(x1, x2, y, y1, y2, z, notes)
+
+    @cached_property
+    def form(self):
+        return bracket_form(self.dist, self.frame)
+
+    def generic_class(self, seed=0):
+        if seed not in self._classes:
+            self._classes[seed] = classify_form_generic(self.form, seed=seed)
+        return self._classes[seed]
+
+    def class_at(self, point):
+        form = self.form
+        if growth_at(self.dist, point, self.steps) != (3, 5, 6):
+            raise NotGrowth356(f"growth vector at {point.render()} is not (3,5,6)")
+        if form.frame.rank_at(point) != self.dist.chart.dimension:
+            raise PoleAtPoint(
+                f"adapted frame degenerates at {point.render()}; choose another point")
+        return _classify_values(*form.evaluate(point))
+
+    def scan(self, n_samples=20, seed=0, retry_factor=25):
+        key = (n_samples, seed, retry_factor)
+        if key in self._scans:
+            return self._scans[key]
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        dist = self.dist
+        steps = self.steps
+        form = self.form
+        generic = self.generic_class(seed)
+        samples = []
+        skipped = []
+        stream = sample_points(dist.chart, seed)
+        budget = n_samples * retry_factor
+        while len(samples) < n_samples:
+            if budget == 0:
+                raise SampleBudgetExhausted(
+                    f"no {n_samples} usable sample points within budget")
+            budget -= 1
+            p = next(stream)
+            try:
+                if growth_at(dist, p, steps) != (3, 5, 6):
+                    skipped.append(SkippedRow(p, "growth-drop"))
+                    continue
+                if form.frame.rank_at(p) != dist.chart.dimension:
+                    skipped.append(SkippedRow(p, "frame-degenerate"))
+                    continue
+                a11, a12, a22 = form.evaluate(p)
+            except PoleAtPoint:
+                skipped.append(SkippedRow(p, "pole"))
                 continue
-            if form.frame.rank_at(p) != dist.chart.dimension:
-                skipped.append(SkippedRow(p, "frame-degenerate"))
-                continue
-            a11, a12, a22 = form.evaluate(p)
-        except PoleAtPoint:
-            skipped.append(SkippedRow(p, "pole"))
-            continue
-        cls = _classify_values(a11, a12, a22)
-        samples.append(SampleRow(len(samples), p, cls))
-    regular = all(s.point_class == generic for s in samples)
-    return RegularityReport(generic, tuple(samples), tuple(skipped), regular, seed)
+            samples.append(SampleRow(len(samples), p, _classify_values(a11, a12, a22)))
+        regular = all(s.point_class == generic for s in samples)
+        self._scans[key] = RegularityReport(generic, tuple(samples),
+                                            tuple(skipped), regular, seed)
+        return self._scans[key]

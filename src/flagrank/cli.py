@@ -5,8 +5,13 @@
 JSON reports are canonical (sorted keys, no timing) so identical requests
 produce byte-identical output; wall-clock timing appears in text mode only.
 
-Exit codes: 0 success, 2 model-text errors, 3 precondition failures,
-4 unknown builtin model.
+``--tasks`` and ``--point`` are checked before any analysis starts.  Each
+request then builds one ``Analysis`` per target distribution and hands it to
+every task, so tasks share their stages (one derived flag, frame, form,
+scan and flag per distribution) and nothing is kept after the request.
+
+Exit codes: 0 success, 2 model-text errors or a malformed ``--tasks`` or
+``--point``, 3 precondition failures, 4 unknown builtin model.
 """
 
 from __future__ import annotations
@@ -20,13 +25,12 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import PointQ
-from .classification import classify_at, classify_generic, regularity_scan
-from .distribution import derived_flag, growth_at
-from .dsl import ModelSource, load_model
-from .errors import FlagrankError, ModelError, PreconditionError, UnknownModel
+from .distribution import growth_at
+from .dsl import TASK_NAMES, ModelSource, load_model
+from .errors import FlagrankError, ModelError, PreconditionError, \
+    UnknownModel, UsageError
 from .models import catalog_list, get_model, lift_pair
-from .parabolic import branch_classify, parabolic_flag, symbol_algebra_at, \
-    symbol_d_function, verify_flag_relations
+from .parabolic import Analysis
 
 _EXIT_OK = 0
 _EXIT_MODEL = 2
@@ -41,7 +45,14 @@ def _parse_point_text(chart, text):
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     parts = [p.strip() for p in body.split(",")] if body else []
-    coords = [Fraction(p) for p in parts]
+    try:
+        coords = [Fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--point {text!r}: coordinates must be rational "
+                         "numbers such as -3 or 1/2") from None
+    if len(coords) != chart.dimension:
+        raise UsageError(f"--point {text!r} has {len(coords)} coordinates; "
+                         f"chart {chart.name} needs {chart.dimension}")
     return PointQ(chart, coords)
 
 
@@ -49,60 +60,64 @@ def _json_dump(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _task_growth(model, dist, request):
-    steps, growth = derived_flag(dist)
+def _task_growth(analysis, request):
+    steps, growth = analysis.derived
     out = {
         "generic": growth.render(),
         "ranks": list(growth.ranks),
         "steps": [{"rank": s.generic_rank,
                    "frame": [f.render() for f in s.frame]} for s in steps],
     }
-    if request["point"] is not None:
-        point = _parse_point_text(model.chart, request["point"])
+    point = request["point"]
+    if point is not None:
         out["at_point"] = {"point": point.render(),
-                           "ranks": list(growth_at(dist, point, steps))}
+                           "ranks": list(growth_at(analysis.dist, point, steps))}
     return out
 
 
-def _task_classify(model, dist, request):
-    out = {"generic": classify_generic(dist).value}
-    if request["point"] is not None:
-        point = _parse_point_text(model.chart, request["point"])
+def _task_classify(analysis, request):
+    out = {"generic": analysis.generic_class().value}
+    point = request["point"]
+    if point is not None:
         out["at_point"] = {"point": point.render(),
-                           "class": classify_at(dist, point).value}
+                           "class": analysis.class_at(point).value}
     return out
 
 
-def _task_scan(model, dist, request):
-    report = regularity_scan(dist, n_samples=request["samples"],
-                             seed=request["seed"])
-    return report.to_json_dict()
+def _task_scan(analysis, request):
+    return analysis.scan(request["samples"], request["seed"]).to_json_dict()
 
 
-def _task_flag(model, dist, request):
-    flag = parabolic_flag(dist)
-    return {"flag": flag.to_json_dict(),
+def _task_flag(analysis, request):
+    return {"flag": analysis.flag.to_json_dict(),
             "relations": [{"name": r.name, "holds": r.holds}
-                          for r in verify_flag_relations(flag)]}
+                          for r in analysis.relations]}
 
 
-def _task_symbol(model, dist, request):
-    flag = parabolic_flag(dist)
-    d_function = symbol_d_function(dist, flag)
+def _task_symbol(analysis, request):
+    d_function = analysis.d_function
     out = {"class": "g0" if d_function.is_zero() else "g1",
            "d_function": d_function.render()}
-    if request["point"] is not None:
-        point = _parse_point_text(model.chart, request["point"])
-        algebra, sym_class = symbol_algebra_at(dist, point)
+    point = request["point"]
+    if point is not None:
+        algebra, sym_class = analysis.symbol_at(point)
         out["at_point"] = {"class": sym_class.value,
                            "algebra": algebra.to_json_dict()}
     return out
 
 
-def _task_branch(model, dist, request):
-    report = branch_classify(dist, samples=request["samples"],
-                             seed=request["seed"])
-    return report.to_json_dict()
+def _task_branch(analysis, request):
+    return analysis.branch(request["samples"], request["seed"]).to_json_dict()
+
+
+_RUNNERS = {
+    "growth": _task_growth,
+    "classify": _task_classify,
+    "scan": _task_scan,
+    "flag": _task_flag,
+    "symbol": _task_symbol,
+    "branch": _task_branch,
+}
 
 
 def _task_lift(model, args, request):
@@ -116,8 +131,7 @@ def _task_lift(model, args, request):
     names = names[:3]
     fields = [model.fields[n] for n in names]
     lifted = lift_pair(*fields)
-    report = branch_classify(lifted, samples=request["samples"],
-                             seed=request["seed"])
+    report = Analysis(lifted).branch(request["samples"], request["seed"])
     return {"pair": names,
             "lifted_chart": {"name": lifted.chart.name,
                              "variables": list(lifted.chart.variables)},
@@ -127,6 +141,7 @@ def _task_lift(model, args, request):
 
 def _run_tasks(model, request):
     dist_name, dist = model.primary_dist()
+    analyses = {}
     results = {}
     for task, args in request["tasks"]:
         if task == "lift":
@@ -138,15 +153,9 @@ def _run_tasks(model, request):
             target = model.dists[target_name]
         if target is None:
             raise PreconditionError("model declares no distribution to analyze")
-        runner = {
-            "growth": _task_growth,
-            "classify": _task_classify,
-            "scan": _task_scan,
-            "flag": _task_flag,
-            "symbol": _task_symbol,
-            "branch": _task_branch,
-        }[task]
-        fragment = runner(model, target, request)
+        if target_name not in analyses:
+            analyses[target_name] = Analysis(target)
+        fragment = _RUNNERS[task](analyses[target_name], request)
         fragment["dist"] = target_name
         results[task] = fragment
     return results
@@ -166,7 +175,7 @@ def _build_report(model, model_name, request, results):
             "tasks": [t for t, _ in request["tasks"]],
             "samples": request["samples"],
             "seed": request["seed"],
-            "point": request["point"],
+            "point": request["point_text"],
         },
         "results": results,
     }
@@ -197,7 +206,7 @@ def _emit_error(exc, fmt, out):
 def _exit_code_for(exc):
     if isinstance(exc, UnknownModel):
         return _EXIT_UNKNOWN_MODEL
-    if isinstance(exc, ModelError):
+    if isinstance(exc, (ModelError, UsageError)):
         return _EXIT_MODEL
     if isinstance(exc, PreconditionError):
         return _EXIT_PRECONDITION
@@ -238,10 +247,17 @@ def _cmd_analyze(ns, out):
         tasks = [(t, ()) for t in DEFAULT_TASKS]
     if not tasks:
         raise PreconditionError("no analysis tasks requested")
+    unknown = [t for t, _ in tasks if t not in TASK_NAMES]
+    if unknown:
+        raise UsageError(f"unknown task {unknown[0]!r}; choose from "
+                         + ", ".join(TASK_NAMES))
     if ns.samples < 1:
         raise PreconditionError("--samples must be >= 1")
+    point = None
+    if ns.point is not None:
+        point = _parse_point_text(model.chart, ns.point)
     request = {"tasks": tasks, "samples": ns.samples, "seed": ns.seed,
-               "point": ns.point}
+               "point": point, "point_text": ns.point}
     results = _run_tasks(model, request)
     report = _build_report(model, model_name, request, results)
     if ns.format == "json":

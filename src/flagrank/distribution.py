@@ -139,19 +139,13 @@ def annihilator_frame(forms):
     return dist
 
 
-def _bracket_generators(frame, generators):
-    out = list(generators)
-    seen = {_field_key(g) for g in out}
-    for x in frame:
-        for g in generators:
-            b = lie_bracket(x, g)
-            if b.is_zero():
-                continue
-            key = _field_key(b)
-            if key not in seen:
-                seen.add(key)
-                out.append(b)
-    return out
+def combine(fields, coords):
+    """The field sum(c_i * F_i); None for no fields."""
+    combo = None
+    for c, f in zip(coords, fields):
+        part = f.scale(c)
+        combo = part if combo is None else combo + part
+    return combo
 
 
 def _field_key(field):
@@ -172,7 +166,7 @@ def derived_flag(dist):
     steps = [Distribution(chart, basis, generators=gens)]
     ranks = [len(basis)]
     while ranks[-1] < dim:
-        gens = _bracket_generators(dist.frame, gens)
+        gens = bracket_span(dist.frame, gens)
         basis = span_reduce(gens)
         if len(basis) == ranks[-1]:
             break
@@ -250,10 +244,7 @@ def cauchy_characteristic(dist):
     solutions = kernel_basis(MatrixRF.from_rows(chart, rows))
     fields = []
     for c in solutions:
-        combo = None
-        for ci, f in zip(c, frame):
-            part = f.scale(ci)
-            combo = part if combo is None else combo + part
+        combo = combine(frame, c)
         if combo is not None and not combo.is_zero():
             fields.append(combo)
     return Distribution(chart, span_reduce(fields))
@@ -288,13 +279,7 @@ def square_root_subdistribution(dist):
     plane = kernel_basis(wedge_row)
     if len(plane) != 2:
         raise ConsistencyError("bivector did not decompose into a plane")
-    fields = []
-    for coords in plane:
-        combo = None
-        for ci, f in zip(coords, dist.frame):
-            part = f.scale(ci)
-            combo = part if combo is None else combo + part
-        fields.append(combo)
+    fields = [combine(dist.frame, coords) for coords in plane]
     result = Distribution(chart, fields)
     if result.generic_rank != 2:
         raise ConsistencyError("square-root plane has wrong rank")

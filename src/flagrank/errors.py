@@ -3,8 +3,9 @@
 ``FlagrankError`` is the common base.  ``PreconditionError`` subclasses mark
 inputs that are well-formed but outside an operation's domain (the CLI maps
 them to exit code 3); ``ModelError`` subclasses carry a source position and
-mark bad model text (exit code 2); ``ConsistencyError`` subclasses signal an
-internal invariant violation and always indicate a bug, never bad input.
+mark bad model text (exit code 2), and ``UsageError`` marks a malformed
+command-line value (also exit code 2); ``ConsistencyError`` subclasses signal
+an internal invariant violation and always indicate a bug, never bad input.
 """
 
 
@@ -37,6 +38,10 @@ class BadParameterSupport(FlagrankError):
 
 class UnknownModel(FlagrankError):
     """No builtin model with the requested name."""
+
+
+class UsageError(FlagrankError):
+    """A command-line value such as ``--tasks`` or ``--point`` is malformed."""
 
 
 class PreconditionError(FlagrankError):

@@ -116,16 +116,6 @@ class Echelon:
         return True
 
 
-def independent_rows(vectors, width):
-    """Indices of an (order-preferring) maximal independent subset."""
-    ech = Echelon(width)
-    kept = []
-    for i, v in enumerate(vectors):
-        if ech.add(v):
-            kept.append(i)
-    return kept
-
-
 def rank_generic(matrix):
     """Rank over the function field via fraction-free elimination."""
     rows = [_cleared_row(r) for r in matrix.row_lists()]
@@ -181,11 +171,6 @@ def _bareiss_rank(rows):
         if rank == n_rows:
             break
     return rank
-
-
-def rank_at(matrix, point):
-    """Rank of the matrix evaluated at an exact rational point."""
-    return fraction_rank(matrix.evaluate(point))
 
 
 def fraction_rank(rows):

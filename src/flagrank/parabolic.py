@@ -6,6 +6,11 @@ span equalities, extracts the graded nilpotent symbol algebra together with
 its normalized invariant d in {0, 1}, tests integrability of the reduced
 rank-2 pair through its upstairs preimage, and reports which of the three
 classified branches (or the open one) the input belongs to.
+
+Every stage is built in one place, ``Analysis``: one object per distribution
+that builds each stage on first use and reuses it.  It lives for one request
+or one public call, never longer; the public functions are thin reads of a
+fresh one.
 """
 
 from __future__ import annotations
@@ -13,17 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .calculus import coordinate_field, lie_bracket
-from .classification import PointClass, _classify_at_with, \
-    _complete_with_field, adapted_frame, bracket_form, classify_form_generic, \
-    regularity_scan, sample_points
-from .distribution import Distribution, bracket_span, derived_flag, \
+from .classification import Classification, PointClass, \
+    _complete_with_field, sample_points
+from .distribution import Distribution, bracket_span, combine, derived_flag, \
     frobenius_integrable, growth_at, span_reduce, spans_equal
-from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
-    NotParabolicNonDeg, PoleAtPoint, RankUnexpected, SampleBudgetExhausted, \
-    SingularDistribution
-from .linalg import Echelon, MatrixRF, kernel_basis, solve_in_span
+from .errors import ConsistencyError, NotParabolic, NotParabolicNonDeg, \
+    PoleAtPoint, RankUnexpected, SampleBudgetExhausted, SingularDistribution
+from .linalg import Echelon, MatrixRF, fraction_rank, kernel_basis, \
+    solve_in_span
 
 
 class FlagBranch(Enum):
@@ -54,14 +59,6 @@ class ParabolicFlag:
         }
 
 
-def _combine(fields, coords):
-    combo = None
-    for c, f in zip(coords, fields):
-        part = f.scale(c)
-        combo = part if combo is None else combo + part
-    return combo
-
-
 def _bracket_kernel(domain_fields, direction, mod_echelon, chart):
     """Combos v of the domain with [direction, v] = 0 modulo the echelon span.
 
@@ -74,55 +71,15 @@ def _bracket_kernel(domain_fields, direction, mod_echelon, chart):
     rows = [[residuals[i][k] for i in range(len(domain_fields))]
             for k in range(chart.dimension)]
     kernel = kernel_basis(MatrixRF.from_rows(chart, rows))
-    return [_combine(domain_fields, c) for c in kernel]
+    return [combine(domain_fields, c) for c in kernel]
 
 
-def parabolic_flag(dist, point_class=None, *, _frame=None, _form=None, _steps=None):
+def parabolic_flag(dist, point_class=None):
     """The invariant flag of ranks 1..5 attached to a parabolic distribution."""
-    if _steps is None:
-        _steps, growth = derived_flag(dist)
-        if growth.ranks != (3, 5, 6):
-            raise NotGrowth356(f"growth vector is {growth.render()}")
-    frame = _frame if _frame is not None else adapted_frame(dist)
-    form = _form if _form is not None else bracket_form(dist, frame)
+    analysis = Analysis(dist)
     if point_class is None:
-        point_class = classify_form_generic(form)
-    if not point_class.is_parabolic:
-        raise NotParabolic(f"point class is {point_class.value}")
-    chart = dist.chart
-    d3 = dist
-    d2 = Distribution(chart, (frame.x1, frame.x2))
-    d5 = _steps[1]
-    if point_class is PointClass.PARABOLIC_DEG:
-        branch = FlagBranch.DEGENERATE
-        ech5 = d5.echelon()
-        combos = _bracket_kernel(list(d5.frame), frame.y, ech5, chart)
-        d4 = Distribution(chart, span_reduce(combos))
-        if d4.generic_rank != 4:
-            raise ConsistencyError("degenerate-branch depth-4 stratum has wrong rank")
-        ech4 = d4.echelon()
-        line = _bracket_kernel([frame.x1, frame.x2], frame.y, ech4, chart)
-        line = [f for f in line if not f.is_zero()]
-        if len(span_reduce(line)) != 1:
-            raise ConsistencyError("degenerate-branch line is not one-dimensional")
-        d1 = Distribution(chart, (span_reduce(line)[0],))
-    else:
-        branch = FlagBranch.NONDEGENERATE
-        radical = kernel_basis(form.matrix())
-        if len(radical) != 1:
-            raise ConsistencyError("form radical is not one-dimensional")
-        line_field = _combine([frame.x1, frame.x2], radical[0])
-        d1 = Distribution(chart, (line_field,))
-        gens = list(dist.frame) + [lie_bracket(line_field, f) for f in dist.frame]
-        d4 = Distribution(chart, span_reduce(gens))
-        if d4.generic_rank != 4:
-            raise ConsistencyError("depth-4 stratum has wrong rank")
-    strata = (d1, d2, d3, d4, d5)
-    for expected, stratum in zip((1, 2, 3, 4, 5), strata):
-        if stratum.generic_rank != expected:
-            raise ConsistencyError(
-                f"flag stratum of rank {expected} came out rank {stratum.generic_rank}")
-    return ParabolicFlag(strata, branch)
+        return analysis.flag
+    return analysis.build_flag(point_class)
 
 
 @dataclass(frozen=True)
@@ -242,36 +199,12 @@ class SymbolAlgebra:
         }
 
 
-def _symbol_fields(dist, flag):
-    """Frame (F1..F5, F7) whose point values realize the symbol basis."""
-    f1 = flag[1].frame[0]
-    f2 = _complete_with_field([f1], list(flag[2].frame), 2)
-    if f2 is None:
-        raise ConsistencyError("no plane field transverse to the flag line")
-    f3 = _complete_with_field([f1, f2], list(dist.frame), 3)
-    if f3 is None:
-        raise ConsistencyError("no frame field transverse to the plane")
-    f4 = lie_bracket(f1, f3)
-    f5 = lie_bracket(f2, f3)
-    f7 = lie_bracket(f2, f5)
-    fields = [f1, f2, f3, f4, f5, f7]
-    ech = Echelon(dist.chart.dimension, [f.coefficients for f in fields])
-    if ech.rank != 6:
-        raise ConsistencyError("symbol frame is generically degenerate")
-    return fields
-
-
 def symbol_d_function(dist, flag):
     """The d-invariant as a rational function (zero iff the symbol is g0)."""
-    fields = _symbol_fields(dist, flag)
-    columns = [f.coefficients for f in fields]
-    coords = solve_in_span(lie_bracket(fields[2], fields[3]).coefficients, columns)
-    if coords is None:
-        raise ConsistencyError("depth-7 bracket left the symbol frame")
-    return coords[5]
+    return Analysis(dist, flag).d_function
 
 
-def symbol_algebra_at(dist, point, *, _flag=None, _form=None, _steps=None):
+def symbol_algebra_at(dist, point):
     """Structure constants of the nilpotentization at a point, with d normalized.
 
     Requires the non-degenerate parabolic class at the point.  Components of
@@ -279,65 +212,7 @@ def symbol_algebra_at(dist, point, *, _flag=None, _form=None, _steps=None):
     reported constants; components landing strictly deeper are recorded as
     grading violations (none occur for inputs in the class).
     """
-    if _steps is None:
-        _steps, growth = derived_flag(dist)
-        if growth.ranks != (3, 5, 6):
-            raise NotGrowth356(f"growth vector is {growth.render()}")
-    if _flag is None or _form is None:
-        frame = adapted_frame(dist)
-        _form = bracket_form(dist, frame)
-        cls = classify_form_generic(_form)
-        if cls is not PointClass.PARABOLIC_NONDEG:
-            raise NotParabolicNonDeg(f"generic class is {cls.value}")
-        _flag = parabolic_flag(dist, cls, _frame=frame, _form=_form, _steps=_steps)
-    point_cls = _classify_at_with(dist, _form, _steps, point)
-    if point_cls is not PointClass.PARABOLIC_NONDEG:
-        raise NotParabolicNonDeg(f"class at {point.render()} is {point_cls.value}")
-    fields = _symbol_fields(dist, _flag)
-    rows = [f.evaluate(point) for f in fields]
-    from .linalg import fraction_rank
-    if fraction_rank(rows) != 6:
-        raise PoleAtPoint(
-            f"symbol frame degenerates at {point.render()}; choose another point")
-    columns = [f.coefficients for f in fields]
-    index = {label: pos for pos, label in enumerate(_LABELS)}
-    constants = {}
-    violations = []
-    for a in range(len(_LABELS)):
-        for b in range(a + 1, len(_LABELS)):
-            i, j = _LABELS[a], _LABELS[b]
-            coords = solve_in_span(
-                lie_bracket(fields[a], fields[b]).coefficients, columns)
-            if coords is None:
-                raise ConsistencyError("bracket left the symbol frame span")
-            values = {k: coords[index[k]].evaluate(point) for k in _LABELS}
-            target = _WEIGHTS[i] + _WEIGHTS[j]
-            comps = {}
-            for k in _LABELS:
-                if values[k] == 0:
-                    continue
-                if _WEIGHTS[k] == target:
-                    comps[k] = values[k]
-                elif _WEIGHTS[k] < target:
-                    violations.append(f"[e{i},e{j}] has a component on e{k}")
-            constants[(i, j)] = comps
-    d_raw = constants.get((3, 4), {}).get(7, Fraction(0))
-    if d_raw != 0:
-        constants[(3, 4)] = {7: Fraction(1)}
-        d_normalized = 1
-        sym_class = SymbolClass.G1
-    else:
-        d_normalized = 0
-        sym_class = SymbolClass.G0
-    algebra = SymbolAlgebra(
-        point=point,
-        constants=constants,
-        d_raw=d_raw,
-        d_normalized=d_normalized,
-        grading_violations=tuple(violations),
-        basis_rendered=tuple(f.render() for f in fields),
-    )
-    return algebra, sym_class
+    return Analysis(dist).symbol_at(point)
 
 
 def e_subdistribution(dist, flag, transverse=None):
@@ -370,38 +245,14 @@ def e_subdistribution(dist, flag, transverse=None):
 
 def b2_integrable(dist, flag=None):
     """Integrability of the reduced plane, tested on its upstairs preimage."""
-    if flag is None:
-        cls = None
-        flag = parabolic_flag(dist, cls)
-        if flag.branch is not FlagBranch.NONDEGENERATE:
-            raise NotParabolicNonDeg("input classified degenerate")
-    return frobenius_integrable(e_subdistribution(dist, flag))
+    return frobenius_integrable(Analysis(dist, flag).e_sub)
 
 
 def completely_nondegenerate(dist, n_samples=20, seed=0, flag=None,
-                             retry_factor=25, _sub=None):
+                             retry_factor=25):
     """True iff the preimage plane's flag ranks are constant across samples."""
-    if _sub is None:
-        if flag is None:
-            flag = parabolic_flag(dist)
-        _sub = e_subdistribution(dist, flag)
-    steps, growth = derived_flag(_sub)
-    stream = sample_points(dist.chart, seed)
-    good = 0
-    budget = n_samples * retry_factor
-    while good < n_samples:
-        if budget == 0:
-            raise SampleBudgetExhausted("no usable sample points for growth scan")
-        budget -= 1
-        p = next(stream)
-        try:
-            ranks = growth_at(_sub, p, steps)
-        except PoleAtPoint:
-            continue
-        if ranks != growth.ranks:
-            return False
-        good += 1
-    return True
+    return Analysis(dist, flag).completely_nondegenerate(n_samples, seed,
+                                                         retry_factor)
 
 
 class Verdict(Enum):
@@ -449,20 +300,6 @@ class BranchReport:
         return out
 
 
-def _find_symbol_sample(dist, flag, form, steps, seed, budget=200):
-    stream = sample_points(dist.chart, seed)
-    last_error = None
-    for _ in range(budget):
-        p = next(stream)
-        try:
-            return symbol_algebra_at(dist, p, _flag=flag, _form=form, _steps=steps)
-        except (PoleAtPoint, NotParabolicNonDeg) as exc:
-            last_error = exc
-            continue
-    raise SampleBudgetExhausted(
-        f"no usable point for symbol extraction: {last_error}")
-
-
 def branch_classify(dist, samples=20, seed=0):
     """Classify a distribution into the three settled branches or the open one.
 
@@ -472,52 +309,237 @@ def branch_classify(dist, samples=20, seed=0):
     behaviour; the reported pointwise symbol algebra is extracted at the
     first usable seeded sample point.
     """
-    steps, growth = derived_flag(dist)
-    if growth.ranks != (3, 5, 6):
-        raise NotGrowth356(f"growth vector is {growth.render()}")
-    frame = adapted_frame(dist)
-    form = bracket_form(dist, frame)
-    scan = regularity_scan(dist, n_samples=samples, seed=seed)
-    if not scan.regular:
-        raise SingularDistribution(
-            "point class is not constant across the sampled points")
-    cls = scan.generic_class
-    if not cls.is_parabolic:
-        raise NotParabolic(f"point class is {cls.value}; branch analysis "
-                           "applies to parabolic inputs")
-    flag = parabolic_flag(dist, cls, _frame=frame, _form=form, _steps=steps)
-    relations = tuple(verify_flag_relations(flag))
-    if flag.branch is FlagBranch.DEGENERATE:
+    return Analysis(dist).branch(samples, seed)
+
+
+class Analysis(Classification):
+    """Every pipeline stage of one distribution, each built at most once.
+
+    Adds the flag, its relations, the symbol frame with the coordinates of
+    its 15 brackets (solved once, then only evaluated at each point), the
+    d-function and the E-subdistribution.  A given ``flag`` replaces the
+    flag stage.
+    """
+
+    def __init__(self, dist, flag=None):
+        super().__init__(dist)
+        self._coords = {}
+        if flag is not None:
+            self.flag = flag
+
+    @cached_property
+    def flag(self):
+        return self.build_flag(self.generic_class())
+
+    def build_flag(self, point_class):
+        """The flag for the given point class; ``flag`` keeps the generic one."""
+        d5 = self.steps[1]
+        frame = self.frame
+        form = self.form
+        if not point_class.is_parabolic:
+            raise NotParabolic(f"point class is {point_class.value}")
+        dist = self.dist
+        chart = dist.chart
+        d3 = dist
+        d2 = Distribution(chart, (frame.x1, frame.x2))
+        if point_class is PointClass.PARABOLIC_DEG:
+            branch = FlagBranch.DEGENERATE
+            ech5 = d5.echelon()
+            combos = _bracket_kernel(list(d5.frame), frame.y, ech5, chart)
+            d4 = Distribution(chart, span_reduce(combos))
+            if d4.generic_rank != 4:
+                raise ConsistencyError("degenerate-branch depth-4 stratum has wrong rank")
+            ech4 = d4.echelon()
+            line = _bracket_kernel([frame.x1, frame.x2], frame.y, ech4, chart)
+            line = [f for f in line if not f.is_zero()]
+            if len(span_reduce(line)) != 1:
+                raise ConsistencyError("degenerate-branch line is not one-dimensional")
+            d1 = Distribution(chart, (span_reduce(line)[0],))
+        else:
+            branch = FlagBranch.NONDEGENERATE
+            radical = kernel_basis(form.matrix())
+            if len(radical) != 1:
+                raise ConsistencyError("form radical is not one-dimensional")
+            line_field = combine([frame.x1, frame.x2], radical[0])
+            d1 = Distribution(chart, (line_field,))
+            gens = list(dist.frame) + [lie_bracket(line_field, f) for f in dist.frame]
+            d4 = Distribution(chart, span_reduce(gens))
+            if d4.generic_rank != 4:
+                raise ConsistencyError("depth-4 stratum has wrong rank")
+        strata = (d1, d2, d3, d4, d5)
+        for expected, stratum in zip((1, 2, 3, 4, 5), strata):
+            if stratum.generic_rank != expected:
+                raise ConsistencyError(
+                    f"flag stratum of rank {expected} came out rank {stratum.generic_rank}")
+        return ParabolicFlag(strata, branch)
+
+    @cached_property
+    def relations(self):
+        return tuple(verify_flag_relations(self.flag))
+
+    @cached_property
+    def symbol_fields(self):
+        """Frame (F1..F5, F7) whose point values realize the symbol basis."""
+        dist, flag = self.dist, self.flag
+        f1 = flag[1].frame[0]
+        f2 = _complete_with_field([f1], list(flag[2].frame), 2)
+        if f2 is None:
+            raise ConsistencyError("no plane field transverse to the flag line")
+        f3 = _complete_with_field([f1, f2], list(dist.frame), 3)
+        if f3 is None:
+            raise ConsistencyError("no frame field transverse to the plane")
+        f4 = lie_bracket(f1, f3)
+        f5 = lie_bracket(f2, f3)
+        f7 = lie_bracket(f2, f5)
+        fields = [f1, f2, f3, f4, f5, f7]
+        ech = Echelon(dist.chart.dimension, [f.coefficients for f in fields])
+        if ech.rank != 6:
+            raise ConsistencyError("symbol frame is generically degenerate")
+        return fields
+
+    def _bracket_coords(self, a, b):
+        """Coordinates of [F_a, F_b] in the symbol frame, solved once per pair."""
+        if (a, b) not in self._coords:
+            fields = self.symbol_fields
+            coords = solve_in_span(lie_bracket(fields[a], fields[b]).coefficients,
+                                   [f.coefficients for f in fields])
+            if coords is None:
+                raise ConsistencyError(
+                    f"[e{_LABELS[a]},e{_LABELS[b]}] left the symbol frame span")
+            self._coords[(a, b)] = coords
+        return self._coords[(a, b)]
+
+    @cached_property
+    def d_function(self):
+        """The e7-coordinate of [F3, F4]: the d-invariant before normalization."""
+        return self._bracket_coords(2, 3)[5]
+
+    def symbol_at(self, point):
+        """``(SymbolAlgebra, SymbolClass)`` at a point; see ``symbol_algebra_at``."""
+        cls = self.generic_class()
+        if cls is not PointClass.PARABOLIC_NONDEG:
+            raise NotParabolicNonDeg(f"generic class is {cls.value}")
+        point_cls = self.class_at(point)
+        if point_cls is not PointClass.PARABOLIC_NONDEG:
+            raise NotParabolicNonDeg(f"class at {point.render()} is {point_cls.value}")
+        fields = self.symbol_fields
+        if fraction_rank([f.evaluate(point) for f in fields]) != 6:
+            raise PoleAtPoint(
+                f"symbol frame degenerates at {point.render()}; choose another point")
+        constants = {}
+        violations = []
+        for a in range(len(_LABELS)):
+            for b in range(a + 1, len(_LABELS)):
+                i, j = _LABELS[a], _LABELS[b]
+                values = [c.evaluate(point) for c in self._bracket_coords(a, b)]
+                target = _WEIGHTS[i] + _WEIGHTS[j]
+                comps = {}
+                for k, value in zip(_LABELS, values):
+                    if value == 0:
+                        continue
+                    if _WEIGHTS[k] == target:
+                        comps[k] = value
+                    elif _WEIGHTS[k] < target:
+                        violations.append(f"[e{i},e{j}] has a component on e{k}")
+                constants[(i, j)] = comps
+        d_raw = constants.get((3, 4), {}).get(7, Fraction(0))
+        if d_raw != 0:
+            constants[(3, 4)] = {7: Fraction(1)}
+            d_normalized = 1
+            sym_class = SymbolClass.G1
+        else:
+            d_normalized = 0
+            sym_class = SymbolClass.G0
+        algebra = SymbolAlgebra(
+            point=point,
+            constants=constants,
+            d_raw=d_raw,
+            d_normalized=d_normalized,
+            grading_violations=tuple(violations),
+            basis_rendered=tuple(f.render() for f in fields),
+        )
+        return algebra, sym_class
+
+    @cached_property
+    def e_sub(self):
+        return e_subdistribution(self.dist, self.flag)
+
+    def completely_nondegenerate(self, n_samples=20, seed=0, retry_factor=25):
+        sub = self.e_sub
+        steps, growth = derived_flag(sub)
+        stream = sample_points(self.dist.chart, seed)
+        good = 0
+        budget = n_samples * retry_factor
+        while good < n_samples:
+            if budget == 0:
+                raise SampleBudgetExhausted("no usable sample points for growth scan")
+            budget -= 1
+            p = next(stream)
+            try:
+                ranks = growth_at(sub, p, steps)
+            except PoleAtPoint:
+                continue
+            if ranks != growth.ranks:
+                return False
+            good += 1
+        return True
+
+    def _find_symbol_sample(self, seed, budget=200):
+        stream = sample_points(self.dist.chart, seed)
+        last_error = None
+        for _ in range(budget):
+            p = next(stream)
+            try:
+                return self.symbol_at(p)
+            except (PoleAtPoint, NotParabolicNonDeg) as exc:
+                last_error = exc
+                continue
+        raise SampleBudgetExhausted(
+            f"no usable point for symbol extraction: {last_error}")
+
+    def branch(self, samples=20, seed=0):
+        """The ``BranchReport``; see ``branch_classify``."""
+        growth = self.derived[1]
+        scan = self.scan(samples, seed)
+        if not scan.regular:
+            raise SingularDistribution(
+                "point class is not constant across the sampled points")
+        cls = scan.generic_class
+        if not cls.is_parabolic:
+            raise NotParabolic(f"point class is {cls.value}; branch analysis "
+                               "applies to parabolic inputs")
+        flag = self.flag
+        relations = self.relations
+        if flag.branch is FlagBranch.DEGENERATE:
+            return BranchReport(
+                point_class=cls, growth=growth, flag=flag, relations=relations,
+                scan=scan, symbol=None, symbol_class=None, d_function=None,
+                b2_integrable=None, completely_nondegenerate=None,
+                verdict=Verdict.THEOREM1, equation_type=None)
+        d_func = self.d_function
+        sym_class = SymbolClass.G0 if d_func.is_zero() else SymbolClass.G1
+        algebra, _ = self._find_symbol_sample(seed)
+        b2 = frobenius_integrable(self.e_sub)
+        cnd = self.completely_nondegenerate(samples, seed)
+        d4, d5 = flag[4], flag[5]
+        deep_gens = bracket_span(d4.frame, d4.frame)
+        ech5 = d5.echelon()
+        depth4_closed = all(ech5.contains(g.coefficients) for g in deep_gens)
+        if depth4_closed != (sym_class is SymbolClass.G0):
+            raise ConsistencyError(
+                "depth-4 bracket behaviour contradicts the symbol class")
+        if not b2:
+            verdict = Verdict.THEOREM2
+            equation_type = sym_class is SymbolClass.G0
+        elif sym_class is SymbolClass.G0:
+            verdict = Verdict.THEOREM3
+            equation_type = None
+        else:
+            verdict = Verdict.OPEN_BRANCH
+            equation_type = None
         return BranchReport(
             point_class=cls, growth=growth, flag=flag, relations=relations,
-            scan=scan, symbol=None, symbol_class=None, d_function=None,
-            b2_integrable=None, completely_nondegenerate=None,
-            verdict=Verdict.THEOREM1, equation_type=None)
-    d_func = symbol_d_function(dist, flag)
-    sym_class = SymbolClass.G0 if d_func.is_zero() else SymbolClass.G1
-    algebra, _ = _find_symbol_sample(dist, flag, form, steps, seed)
-    sub = e_subdistribution(dist, flag)
-    b2 = frobenius_integrable(sub)
-    cnd = completely_nondegenerate(dist, n_samples=samples, seed=seed, _sub=sub)
-    d4, d5 = flag[4], flag[5]
-    deep_gens = bracket_span(d4.frame, d4.frame)
-    ech5 = d5.echelon()
-    depth4_closed = all(ech5.contains(g.coefficients) for g in deep_gens)
-    if depth4_closed != (sym_class is SymbolClass.G0):
-        raise ConsistencyError(
-            "depth-4 bracket behaviour contradicts the symbol class")
-    if not b2:
-        verdict = Verdict.THEOREM2
-        equation_type = sym_class is SymbolClass.G0
-    elif sym_class is SymbolClass.G0:
-        verdict = Verdict.THEOREM3
-        equation_type = None
-    else:
-        verdict = Verdict.OPEN_BRANCH
-        equation_type = None
-    return BranchReport(
-        point_class=cls, growth=growth, flag=flag, relations=relations,
-        scan=scan, symbol=algebra, symbol_class=sym_class,
-        d_function=d_func.render(), b2_integrable=b2,
-        completely_nondegenerate=cnd, verdict=verdict,
-        equation_type=equation_type)
+            scan=scan, symbol=algebra, symbol_class=sym_class,
+            d_function=d_func.render(), b2_integrable=b2,
+            completely_nondegenerate=cnd, verdict=verdict,
+            equation_type=equation_type)

@@ -1,0 +1,78 @@
+"""One Analysis per distribution: stages are built once and shared exactly."""
+
+import io
+import json
+import sys
+
+import pytest
+
+from flagrank import branch_classify, catalog_list, classification, \
+    distribution, e_subdistribution, get_model, parabolic, parabolic_flag
+from flagrank.cli import main
+
+PARABOLIC_TASKS = ("growth", "classify", "scan", "flag", "symbol", "branch")
+DEMO_TASKS = ("growth", "classify", "scan")
+POINT = "(1, 1/2, -1, 2, 0, 1)"
+
+
+def analyze(name, tasks):
+    out = io.StringIO()
+    code = main(["analyze", "--builtin", name, "--tasks", ",".join(tasks),
+                 "--point", POINT, "--samples", "8", "--seed", "3",
+                 "--format", "json"], out=out)
+    return code, json.loads(out.getvalue())
+
+
+def record_calls(monkeypatch, module, name):
+    """Rebind ``name`` in every flagrank module; returns each call's arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("flagrank") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, recorded)
+    return calls
+
+
+def test_six_task_request_builds_each_stage_once(monkeypatch):
+    derived = record_calls(monkeypatch, distribution, "derived_flag")
+    frames = record_calls(monkeypatch, classification, "AdaptedFrame")
+    forms = record_calls(monkeypatch, classification, "bracket_form")
+    scans = record_calls(monkeypatch, classification, "RegularityReport")
+    flags = record_calls(monkeypatch, parabolic, "ParabolicFlag")
+    code, report = analyze("eq6", PARABOLIC_TASKS)
+    assert code == 0
+    assert report["results"]["branch"]["verdict"] == "Theorem2"
+    counts = [len(derived), len(frames), len(forms), len(scans), len(flags)]
+    assert counts == [2, 1, 1, 1, 1]
+    dist, sub = derived[0][0], derived[1][0]
+    assert dist == get_model("eq6").distribution()
+    assert sub == e_subdistribution(dist, parabolic_flag(dist))
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in catalog_list()])
+def test_shared_stages_match_single_task_requests(name):
+    tasks = DEMO_TASKS if name in ("elliptic", "hyperbolic") else PARABOLIC_TASKS
+    single = {task: analyze(name, [task]) for task in tasks}
+    failing = [task for task in tasks if single[task][0] != 0]
+    code, report = analyze(name, tasks)
+    if failing:
+        # The request stops at its first failing task, with that task's error.
+        assert (code, report) == single[failing[0]]
+        code, report = analyze(name, [t for t in tasks if t not in failing])
+    assert code == 0
+    for task in tasks:
+        if task not in failing:
+            assert report["results"][task] == single[task][1]["results"][task]
+
+
+def test_branch_after_flag_on_the_same_distribution():
+    for name in ("eq6", "j21"):
+        fresh = branch_classify(get_model(name).distribution()).to_json_dict()
+        dist = get_model(name).distribution()
+        parabolic_flag(dist)
+        assert branch_classify(dist).to_json_dict() == fresh

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from flagrank import cli
 from flagrank.cli import main
 
 
@@ -87,6 +88,30 @@ def test_point_option():
     assert report["results"]["growth"]["at_point"]["ranks"] == [3, 5, 6]
     assert report["results"]["classify"]["at_point"]["class"] == \
         "parabolic-nondegenerate"
+
+
+@pytest.mark.parametrize("tasks, point", [
+    ("growth,bogus", None),
+    ("growth", "(1,2)"),
+    ("growth", "(a,b,c,d,e,f)"),
+    ("growth", "(1/0, 0, 0, 0, 0, 0)"),
+])
+def test_malformed_request_exits_2_before_any_analysis(monkeypatch, tasks, point):
+    def no_analysis(dist):
+        raise AssertionError("analysis started before the request was checked")
+
+    monkeypatch.setattr(cli, "Analysis", no_analysis)
+    argv = ["analyze", "--builtin", "eq5", "--tasks", tasks]
+    if point is not None:
+        argv += ["--point", point]
+    code, text = run_cli(argv + ["--format", "json"])
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "UsageError"
+    assert (point or "bogus") in error["message"]
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text.startswith("error [UsageError]: ")
 
 
 def test_json_reports_are_byte_identical():
