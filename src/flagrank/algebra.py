@@ -12,7 +12,7 @@ yield identical stored data, so equality and zero tests are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm
 
 from .errors import ChartMismatch, DivisionByZero, PoleAtPoint, UnknownVariable
 
@@ -229,16 +229,6 @@ class Polynomial:
             else:
                 out.pop(e2, None)
         return Polynomial(self.chart, out)
-
-    def evaluate(self, coords):
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = Fraction(c)
-            for v, k in zip(coords, e):
-                if k:
-                    term *= Fraction(v) ** k
-            total += term
-        return total
 
     def eval_var(self, i, value):
         """Substitute an integer for variable ``i``; stays a polynomial."""
@@ -719,12 +709,27 @@ class RatFunc:
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
 
     def evaluate(self, point):
+        return Fraction(*self.integer_pair(point))
+
+    def integer_pair(self, point):
+        """Integers (n, d), d != 0, whose quotient is the value at ``point``.
+
+        Raises PoleAtPoint when the denominator vanishes there.
+        """
         if point.chart != self.chart:
             raise ChartMismatch("point lives on a different chart")
-        d = self.den.evaluate(point.coordinates)
+        if not self.num.terms:
+            return 0, 1
+        n, dn = point.homogenized(self.num)
+        d, dd = point.homogenized(self.den)
         if d == 0:
             raise PoleAtPoint(f"denominator vanishes at {point.render()}")
-        return self.num.evaluate(point.coordinates) / d
+        # num(point) = n / B^dn and den(point) = d / B^dd
+        if dn > dd:
+            d *= point.scale_power(dn - dd)
+        elif dd > dn:
+            n *= point.scale_power(dd - dn)
+        return n, d
 
     def substitute(self, target, mapping):
         num = self.num.substitute(target, mapping)
@@ -744,9 +749,14 @@ class RatFunc:
 
 
 class PointQ:
-    """A point of a chart with exact rational coordinates."""
+    """A point of a chart with exact rational coordinates.
 
-    __slots__ = ("chart", "coordinates")
+    For integer evaluation the point keeps its common denominator B, the
+    integers A_i = B * (coordinate i), and power tables [1, a, a^2, ...] of
+    each A_i and of B, grown on demand.
+    """
+
+    __slots__ = ("chart", "coordinates", "_powers", "_scale_powers")
 
     def __init__(self, chart, coordinates):
         coordinates = tuple(Fraction(c) for c in coordinates)
@@ -755,6 +765,41 @@ class PointQ:
                 f"expected {chart.dimension} coordinates, got {len(coordinates)}")
         self.chart = chart
         self.coordinates = coordinates
+        scale = lcm(*(c.denominator for c in coordinates))
+        self._powers = tuple([1, c.numerator * (scale // c.denominator)]
+                             for c in coordinates)
+        self._scale_powers = [1, scale]
+
+    def scale_power(self, k):
+        """B^k for the common denominator B of the coordinates."""
+        return _power(self._scale_powers, k)
+
+    def homogenized(self, poly):
+        """``(B^d * poly(point), d)``, an integer and the total degree d.
+
+        Each term c * x^e contributes c * A^e * B^(d - |e|), so no fraction
+        is formed.
+        """
+        powers = self._powers
+        values = []
+        degree = 0
+        for e, c in poly.terms.items():
+            for table, k in zip(powers, e):
+                if k:
+                    try:
+                        c *= table[k]
+                    except IndexError:
+                        c *= _power(table, k)
+            size = sum(e)
+            if size > degree:
+                degree = size
+            values.append((c, size))
+        if self._scale_powers[1] == 1:
+            return sum(c for c, _ in values), degree
+        total = 0
+        for c, size in values:
+            total += c * self.scale_power(degree - size)
+        return total, degree
 
     def render(self):
         return "(" + ", ".join(_render_fraction(c) for c in self.coordinates) + ")"
@@ -769,6 +814,13 @@ class PointQ:
 
     def __repr__(self):
         return f"PointQ{self.render()}"
+
+
+def _power(table, k):
+    """``table[k]`` of a power table [1, a, a^2, ...], grown as needed."""
+    while len(table) <= k:
+        table.append(table[-1] * table[1])
+    return table[k]
 
 
 def _render_fraction(q):

@@ -19,7 +19,8 @@ from .calculus import VectorField, coordinate_field, lie_bracket
 from .distribution import derived_flag, growth_at, square_root_subdistribution
 from .errors import ConsistencyError, NotGrowth356, PoleAtPoint, \
     SampleBudgetExhausted, SymmetryViolated
-from .linalg import Echelon, MatrixRF, fraction_rank, rank_generic, solve_in_span
+from .linalg import Echelon, MatrixRF, certified_rank, rank_generic, \
+    solve_in_span
 
 
 class PointClass(Enum):
@@ -54,7 +55,9 @@ class AdaptedFrame:
         return [self.x1, self.x2, self.y, self.y1, self.y2, self.z]
 
     def rank_at(self, point):
-        return fraction_rank([f.evaluate(point) for f in self.full()])
+        # a frame of the chart: its length bounds the rank at every point
+        full = self.full()
+        return certified_rank([f.coefficients for f in full], point, len(full))
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,18 @@
 A distribution is carried by a frame of vector fields; all span computations
 are generic (over the function field).  Pointwise ranks are a separate
 evaluation pass over the full generator lists, so points where a reduced
-basis happens to degenerate are still measured correctly.
+basis happens to degenerate are still measured correctly, and a pole of any
+generator raises PoleAtPoint.  Every entry is evaluated exactly to a pair of
+integers; ``linalg.certified_rank`` certifies the generic rank modulo a prime
+and falls back to exact ``fraction_rank`` elimination where it cannot.
 """
 
 from __future__ import annotations
 
 from .calculus import VectorField, lie_bracket, pairing
 from .errors import ChartMismatch, ConsistencyError, DependentForms, NotRank35
-from .linalg import Echelon, MatrixRF, fraction_rank, kernel_basis, rank_generic
+from .linalg import Echelon, MatrixRF, certified_rank, kernel_basis, \
+    rank_generic
 
 
 class Distribution:
@@ -45,8 +49,8 @@ class Distribution:
                                   [f.coefficients for f in self.frame])
 
     def rank_at(self, point):
-        rows = [f.evaluate(point) for f in self.generators]
-        return fraction_rank(rows)
+        return certified_rank([f.coefficients for f in self.generators], point,
+                              self.generic_rank)
 
     def echelon(self):
         return Echelon(self.chart.dimension,
@@ -148,10 +152,6 @@ def combine(fields, coords):
     return combo
 
 
-def _field_key(field):
-    return tuple(c.render() for c in field.coefficients)
-
-
 def derived_flag(dist):
     """Flag D, D + [D,D], ... until stabilization, with its growth vector.
 
@@ -163,16 +163,24 @@ def derived_flag(dist):
     dim = chart.dimension
     gens = list(dist.frame)
     basis = span_reduce(gens)
-    steps = [Distribution(chart, basis, generators=gens)]
+    steps = [_flag_step(chart, basis, gens)]
     ranks = [len(basis)]
     while ranks[-1] < dim:
         gens = bracket_span(dist.frame, gens)
         basis = span_reduce(gens)
         if len(basis) == ranks[-1]:
             break
-        steps.append(Distribution(chart, basis, generators=gens))
+        steps.append(_flag_step(chart, basis, gens))
         ranks.append(len(basis))
     return steps, GrowthVector(ranks)
+
+
+def _flag_step(chart, basis, gens):
+    step = Distribution(chart, basis, generators=gens)
+    # reduced echelon rows are independent, so the generic rank needs no
+    # elimination; rank_at certifies against it
+    step._rank = len(basis)
+    return step
 
 
 def growth_at(dist, point, steps=None):
@@ -196,20 +204,18 @@ def frobenius_integrable(dist):
 def bracket_span(fields_a, fields_b):
     """Generators of A + B + [sections of A, sections of B]."""
     gens = list(fields_a)
-    keyset = {_field_key(g) for g in gens}
+    seen = set(gens)
     for g in fields_b:
-        key = _field_key(g)
-        if key not in keyset:
-            keyset.add(key)
+        if g not in seen:
+            seen.add(g)
             gens.append(g)
     for a in fields_a:
         for b in fields_b:
             br = lie_bracket(a, b)
             if br.is_zero():
                 continue
-            key = _field_key(br)
-            if key not in keyset:
-                keyset.add(key)
+            if br not in seen:
+                seen.add(br)
                 gens.append(br)
     return gens
 

@@ -199,6 +199,54 @@ def fraction_rank(rows):
     return rank
 
 
+CERTIFICATE_PRIME = (1 << 61) - 1
+
+
+def certified_rank(rows, point, generic_rank):
+    """Exact rank at ``point`` of rows of RatFuncs of generic rank r.
+
+    Every entry is evaluated to an exact integer pair (n, d), so a pole
+    anywhere raises PoleAtPoint.  Modulo the prime p,
+    rank_p <= rank at the point <= r, so rank_p == r certifies r.  When it
+    does not (rank_p < r, or a denominator divisible by p), the answer is
+    ``fraction_rank`` of the exact values: a failed certificate costs time,
+    never exactness.  Any upper bound on the rank at the point may stand in
+    for r = ``generic_rank``.
+    """
+    pairs = [[f.integer_pair(point) for f in row] for row in rows]
+    if _rank_mod_p(pairs, generic_rank) == generic_rank:
+        return generic_rank
+    return fraction_rank([[Fraction(n, d) for n, d in row] for row in pairs])
+
+
+def _rank_mod_p(pairs, target):
+    """Rank mod p of rows of integer pairs n/d; stops once it reaches ``target``.
+
+    None when a row it reads has a denominator divisible by p.
+    """
+    p = CERTIFICATE_PRIME
+    basis = []  # (pivot column, row scaled to 1 at the pivot)
+    for row in pairs:
+        v = []
+        for n, d in row:
+            d %= p
+            if not d:
+                return None
+            v.append(n * pow(d, -1, p) % p)
+        for col, b in basis:
+            c = v[col]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, b)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        inv = pow(v[col], -1, p)
+        basis.append((col, [x * inv % p for x in v]))
+        if len(basis) == target:
+            break
+    return len(basis)
+
+
 def kernel_basis(matrix):
     """Basis of the right kernel over the function field.
 

@@ -25,9 +25,10 @@ from .classification import Classification, PointClass, \
     _complete_with_field, sample_points
 from .distribution import Distribution, bracket_span, combine, derived_flag, \
     frobenius_integrable, growth_at, span_reduce, spans_equal
-from .errors import ConsistencyError, NotParabolic, NotParabolicNonDeg, \
-    PoleAtPoint, RankUnexpected, SampleBudgetExhausted, SingularDistribution
-from .linalg import Echelon, MatrixRF, fraction_rank, kernel_basis, \
+from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
+    NotParabolicNonDeg, PoleAtPoint, RankUnexpected, SampleBudgetExhausted, \
+    SingularDistribution
+from .linalg import Echelon, MatrixRF, certified_rank, kernel_basis, \
     solve_in_span
 
 
@@ -423,7 +424,7 @@ class Analysis(Classification):
         if point_cls is not PointClass.PARABOLIC_NONDEG:
             raise NotParabolicNonDeg(f"class at {point.render()} is {point_cls.value}")
         fields = self.symbol_fields
-        if fraction_rank([f.evaluate(point) for f in fields]) != 6:
+        if certified_rank([f.coefficients for f in fields], point, 6) != 6:
             raise PoleAtPoint(
                 f"symbol frame degenerates at {point.render()}; choose another point")
         constants = {}
@@ -491,7 +492,10 @@ class Analysis(Classification):
             p = next(stream)
             try:
                 return self.symbol_at(p)
-            except (PoleAtPoint, NotParabolicNonDeg) as exc:
+            except (NotGrowth356, PoleAtPoint, NotParabolicNonDeg) as exc:
+                # the scan has checked the generic growth, so NotGrowth356
+                # here is a point where the growth drops: skip it as the
+                # scan does
                 last_error = exc
                 continue
         raise SampleBudgetExhausted(

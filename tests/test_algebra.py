@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flagrank import Chart, Polynomial, RatFunc
-from flagrank.algebra import poly_gcd
+from flagrank.algebra import _heuristic_gcd, _prs_entry, poly_gcd
 from flagrank.errors import ChartMismatch, DivisionByZero, PoleAtPoint, UnknownVariable
 from util import sc
 
@@ -184,3 +184,69 @@ def test_canonical_uniqueness_random(f, g):
     assert (f + g) - g == f
     if not g.is_zero():
         assert (f * g) / g == f
+
+
+def _reference_value(poly, coords):
+    """Term-by-term Fraction evaluation: the oracle for integer evaluation."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        term = Fraction(c)
+        for v, k in zip(coords, e):
+            term *= Fraction(v) ** k
+        total += term
+    return total
+
+
+_high_coords = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+def _high_polys():
+    return st.dictionaries(_high_coords, st.integers(-9, 9), max_size=4).map(
+        lambda terms: Polynomial(CH, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_high_polys(), _high_polys().filter(lambda p: not p.is_zero()),
+       st.tuples(_fractions, _fractions, _fractions))
+def test_integer_evaluation_matches_fraction_reference(num, den, coords):
+    f = RatFunc(num, den)
+    p = CH.point(coords)
+    reference_den = _reference_value(f.den, p.coordinates)
+    if reference_den == 0:
+        with pytest.raises(PoleAtPoint):
+            f.evaluate(p)
+    else:
+        assert f.evaluate(p) == _reference_value(f.num, p.coordinates) / reference_den
+
+
+def test_evaluate_pole_at_rational_point():
+    f = sc(CH, "y/(3*x^2 - 2*x*z)")
+    with pytest.raises(PoleAtPoint, match=r"denominator vanishes at \(2/3, 5, 1\)"):
+        f.evaluate(CH.point((Fraction(2, 3), 5, 1)))
+    assert f.evaluate(CH.point((Fraction(2, 3), 5, 2))) == Fraction(-15, 4)
+
+
+def _nonconstant_polys():
+    return _polys().filter(lambda p: not p.is_constant())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonconstant_polys(), _polys().filter(lambda p: not p.is_zero()),
+       _polys().filter(lambda p: not p.is_zero()))
+def test_heuristic_gcd_matches_prs(h, a, b):
+    f, g = h * a, h * b
+    heuristic = _heuristic_gcd(f, g)
+    if heuristic is not None:
+        assert heuristic == _prs_entry(f, g)
+    assert poly_gcd(f, g) == _prs_entry(f, g)
+
+
+def test_heuristic_gcd_gives_up_on_huge_coefficients():
+    x = Polynomial.variable(CH, "x")
+    y = Polynomial.variable(CH, "y")
+    one = Polynomial.one(CH)
+    h = x ** 3 + Polynomial.constant(CH, 2 ** 4100 + 1)
+    f, g = h * (y + one), h * (y - one)
+    assert _heuristic_gcd(f, g) is None
+    assert poly_gcd(f, g) == h

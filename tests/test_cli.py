@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +148,25 @@ def test_file_task_list_used_by_default(tmp_path):
     assert report["results"]["classify"]["generic"] == "elliptic"
 
 
+def test_symbol_sample_skips_a_growth_drop(tmp_path):
+    # the first point of seed 14, (-1, 4, 0, 0, -1, 3/2), is a growth drop:
+    # the symbol search must skip it as the scan does
+    path = tmp_path / "drop.dist"
+    path.write_text(
+        "chart C(x1, x2, y, y1, y2, z)\n"
+        "field X1 = @x1\nfield X2 = @x2\n"
+        "field Y = @y + y*x1*@y1 + x2*@y2 + (x2^2/2)*@z\n"
+        "dist D = span(X1, X2, Y)\n",
+        encoding="utf-8")
+    code, text = run_cli(["analyze", str(path), "--tasks", "scan,branch",
+                          "--samples", "5", "--seed", "14", "--format", "json"])
+    assert code == 0
+    results = json.loads(text)["results"]
+    assert {"point": "(-1, 4, 0, 0, -1, 3/2)", "reason": "growth-drop"} \
+        in results["scan"]["skipped"]
+    assert results["branch"]["verdict"] == "Theorem3"
+
+
 def test_lift_task_from_file(tmp_path):
     path = tmp_path / "pair.dist"
     path.write_text(
@@ -176,8 +197,12 @@ def test_text_format_has_timing_and_json_not():
 
 
 def test_module_entrypoint_subprocess():
+    # the child runs the package this suite imports, with or without PYTHONPATH
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "flagrank.cli", "models", "list"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
     assert result.stderr == ""
     assert "j21" in result.stdout

@@ -1,12 +1,15 @@
 """Exact linear algebra: ranks, kernels, span coordinates."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagrank import Chart, MatrixRF, kernel_basis, rank_generic, solve_in_span
 from flagrank.errors import PoleAtPoint
-from flagrank.linalg import fraction_rank
+from flagrank import linalg
+from flagrank.linalg import CERTIFICATE_PRIME, certified_rank, fraction_rank
 from util import rand_ratfunc, sc, vf
 
 CH = Chart("A", ("x", "y", "z"))
@@ -115,3 +118,88 @@ def test_rank_at_never_exceeds_generic():
             achieved = max(achieved, r)
         # the exceptional set is thin: some sampled point realizes the rank
         assert achieved == generic
+
+
+def _exact_rank_or_pole(m, point):
+    try:
+        return fraction_rank(m.evaluate(point))
+    except PoleAtPoint:
+        return None
+
+
+def _certified_or_pole(m, point, generic):
+    try:
+        return certified_rank(m.row_lists(), point, generic)
+    except PoleAtPoint:
+        return None
+
+
+# small grids make points where the rank drops below the generic rank common
+_grid = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2),
+       st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=6))
+def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
+    rng = random.Random(seed)
+    base = []
+    for _ in range(independent):
+        # a factor x_i - c makes the row vanish, and the rank drop, on a plane
+        factor = CH.var(rng.choice(CH.variables)) - rng.choice((-1, 0, 1)) \
+            if rng.random() < 0.5 else CH.one()
+        base.append([factor * rand_ratfunc(CH, rng) for _ in range(3)])
+    # extra rows are function combinations of the others: rank-deficient
+    rows = base + [
+        [sum((rand_ratfunc(CH, rng) * row[j] for row in base), CH.zero())
+         for j in range(3)]
+        for _ in range(extra)]
+    rng.shuffle(rows)
+    m = MatrixRF.from_rows(CH, rows)
+    generic = rank_generic(m)
+    for coords in points:
+        p = CH.point(coords)
+        assert _certified_or_pole(m, p, generic) == _exact_rank_or_pole(m, p)
+
+
+def test_certified_rank_below_generic_rank():
+    m = _matrix(CH, [["x", 1, "y"], [1, "x", "z"]])
+    assert rank_generic(m) == 2
+    assert certified_rank(m.row_lists(), CH.point((1, 1, 1)), 2) == 1
+    assert certified_rank(m.row_lists(), CH.point((1, 1, 2)), 2) == 2
+    assert certified_rank(m.row_lists(), CH.point((0, 0, 0)), 2) == 2
+
+
+def _counting_fraction_rank(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return fraction_rank(rows)
+
+    monkeypatch.setattr(linalg, "fraction_rank", counted)
+    return calls
+
+
+def test_certified_rank_falls_back_on_denominator_divisible_by_p(monkeypatch):
+    calls = _counting_fraction_rank(monkeypatch)
+    m = _matrix(CH, [["1/x", 0], [0, 1]])
+    p = CERTIFICATE_PRIME
+    assert certified_rank(m.row_lists(), CH.point((p, 0, 0)), 2) == 2
+    assert calls == [[[Fraction(1, p), 0], [0, 1]]]
+    assert certified_rank(m.row_lists(), CH.point((p + 1, 0, 0)), 2) == 2
+    assert len(calls) == 1
+
+
+def test_certified_rank_falls_back_when_p_divides_a_minor(monkeypatch):
+    calls = _counting_fraction_rank(monkeypatch)
+    m = _matrix(CH, [["x", 1], [1, 1]])
+    # det = x - 1 vanishes mod p, not over the rationals
+    assert certified_rank(m.row_lists(), CH.point((CERTIFICATE_PRIME + 1, 0, 0)), 2) == 2
+    assert len(calls) == 1
+
+
+def test_certified_rank_raises_at_a_pole():
+    m = _matrix(CH, [[1, 0], [0, "1/(x - y)"]])
+    with pytest.raises(PoleAtPoint, match="denominator vanishes at"):
+        certified_rank(m.row_lists(), CH.point((2, 2, 0)), 2)
