@@ -7,6 +7,12 @@ integer-coefficient polynomial; :class:`RatFunc` is a reduced fraction of two
 polynomials and is the coefficient field for the whole package.  All values
 are immutable and canonical: two construction orders of the same function
 yield identical stored data, so equality and zero tests are exact.
+
+Most arithmetic in a bracket computation is on zeros, so zero and one are
+free: each chart holds one shared zero and one shared one, built on first
+use, and ``RatFunc`` operations return a zero operand (or the other operand)
+without building anything.  Values are shared, so no code may mutate
+``Polynomial.terms`` in place.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ def _grlex(exps):
 class Chart:
     """Named, ordered coordinate system."""
 
-    __slots__ = ("name", "variables", "_index")
+    __slots__ = ("name", "variables", "_index", "_zero", "_one")
 
     def __init__(self, name, variables):
         variables = tuple(variables)
@@ -35,6 +41,7 @@ class Chart:
         self.name = name
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
+        self._zero = self._one = None
 
     @property
     def dimension(self):
@@ -48,16 +55,23 @@ class Chart:
 
     def var(self, name):
         """The coordinate function ``name`` as a RatFunc."""
-        return RatFunc(Polynomial.variable(self, name), Polynomial.one(self))
+        return RatFunc._new(Polynomial.variable(self, name), Polynomial.one(self))
 
     def const(self, value):
         return RatFunc.constant(self, value)
 
     def zero(self):
-        return RatFunc(Polynomial.zero(self), Polynomial.one(self))
+        """The chart's shared zero function 0/1."""
+        if self._zero is None:
+            self._zero = RatFunc._new(Polynomial(self, {}), Polynomial.one(self))
+        return self._zero
 
     def one(self):
-        return RatFunc.constant(self, 1)
+        """The chart's shared constant function 1/1."""
+        if self._one is None:
+            one = Polynomial(self, {(0,) * len(self.variables): 1})
+            self._one = RatFunc._new(one, one)
+        return self._one
 
     def point(self, coords):
         return PointQ(self, coords)
@@ -66,6 +80,8 @@ class Chart:
         return PointQ(self, (0,) * self.dimension)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Chart):
             return NotImplemented
         return self.name == other.name and self.variables == other.variables
@@ -78,7 +94,7 @@ class Chart:
 
 
 def _require_same_chart(a, b):
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatch(f"charts differ: {a.chart.name!r} vs {b.chart.name!r}")
 
 
@@ -86,7 +102,7 @@ class Polynomial:
     """Sparse integer-coefficient polynomial on a chart.
 
     ``terms`` maps exponent tuples to nonzero int coefficients.  Instances are
-    treated as immutable; all operations return fresh objects.
+    never mutated in place: the chart's zero and one are shared.
     """
 
     __slots__ = ("chart", "terms")
@@ -95,19 +111,21 @@ class Polynomial:
         self.chart = chart
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart, {})
+    @staticmethod
+    def zero(chart):
+        return chart.zero().num
 
-    @classmethod
-    def one(cls, chart):
-        return cls.constant(chart, 1)
+    @staticmethod
+    def one(chart):
+        return chart.one().num
 
     @classmethod
     def constant(cls, chart, value):
         value = int(value)
         if value == 0:
-            return cls(chart, {})
+            return chart.zero().num
+        if value == 1:
+            return chart.one().num
         return cls(chart, {(0,) * chart.dimension: value})
 
     @classmethod
@@ -352,6 +370,8 @@ def poly_gcd(f, g):
     as the fallback for the rare heuristic failure.
     """
     _require_same_chart(f, g)
+    if f is g or f == g:
+        return f.sign_normalized()
     if f.is_zero():
         return g.sign_normalized()
     if g.is_zero():
@@ -526,6 +546,7 @@ class RatFunc:
 
     Canonical form: gcd(num, den) = 1, den has positive leading coefficient,
     zero is 0/1.  Construction enforces this, so ``==`` is semantic equality.
+    A zero result shares the polynomials of its chart's zero.
     """
 
     __slots__ = ("num", "den")
@@ -535,8 +556,8 @@ class RatFunc:
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if num.is_zero():
-            num = Polynomial.zero(num.chart)
-            den = Polynomial.one(num.chart)
+            zero = num.chart.zero()
+            num, den = zero.num, zero.den
         elif den.is_constant():
             d = den.constant_value()
             g = _igcd(num.content(), abs(d))
@@ -557,23 +578,30 @@ class RatFunc:
         self.den = den
 
     @classmethod
-    def _reduced(cls, num, den):
-        """Trusted constructor for already-coprime pairs; no gcd is run."""
+    def _new(cls, num, den):
+        """Bare constructor for a pair already in canonical form."""
         self = object.__new__(cls)
-        if num.is_zero():
-            num = Polynomial.zero(num.chart)
-            den = Polynomial.one(num.chart)
-        elif den.leading()[1] < 0:
-            num = -num
-            den = -den
         self.num = num
         self.den = den
         return self
 
     @classmethod
+    def _reduced(cls, num, den):
+        """Trusted constructor for already-coprime pairs; no gcd is run."""
+        if not num.terms:
+            return num.chart.zero()
+        if den.leading()[1] < 0:
+            return cls._new(-num, -den)
+        return cls._new(num, den)
+
+    @classmethod
     def constant(cls, chart, value):
         if isinstance(value, RatFunc):
             return value
+        if value == 0:
+            return chart.zero()
+        if value == 1:
+            return chart.one()
         q = Fraction(value)
         return cls(Polynomial.constant(chart, q.numerator),
                    Polynomial.constant(chart, q.denominator))
@@ -626,7 +654,7 @@ class RatFunc:
         right = other.den.divexact(d)
         t = self.num * right + other.num * left
         if t.is_zero():
-            return RatFunc._reduced(t, Polynomial.one(self.chart))
+            return self.chart.zero()
         e = poly_gcd(t, d)
         if e.is_one():
             return RatFunc._reduced(t, left * other.den)
@@ -635,12 +663,16 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._reduced(-self.num, self.den)
+        if not self.num.terms:
+            return self
+        return RatFunc._new(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.num.terms:
+            return self
         return self + (-other)
 
     def __rsub__(self, other):
@@ -654,9 +686,10 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatFunc._reduced(Polynomial.zero(self.chart),
-                                    Polynomial.one(self.chart))
+        if not self.num.terms:
+            return self
+        if not other.num.terms:
+            return other
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         num = self.num.divexact(g1) * other.num.divexact(g2)
@@ -676,6 +709,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self.num.terms and other.num.terms:
+            return self
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -702,6 +737,10 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def derivative(self, var):
+        i = self.chart.index(var)
+        if not any(e[i] for e in self.num.terms) \
+                and not any(e[i] for e in self.den.terms):
+            return self.chart.zero()
         dn = self.num.derivative(var)
         if self.den.is_one():
             return RatFunc._reduced(dn, self.den)

@@ -67,10 +67,12 @@ class VectorField(_Covariant):
 
     def apply(self, f):
         """Directional derivative of a scalar function."""
-        out = RatFunc.constant(self.chart, 0)
+        out = self.chart.zero()
         for c, var in zip(self.coefficients, self.chart.variables):
             if not c.is_zero():
-                out = out + c * f.derivative(var)
+                d = f.derivative(var)
+                if not d.is_zero():
+                    out = out + c * d
         return out
 
     def render(self):
@@ -123,7 +125,7 @@ def pairing(form, field):
     """Natural pairing <w, X> = sum_i w_i X^i."""
     if form.chart != field.chart:
         raise ChartMismatch("pairing across charts")
-    out = RatFunc.constant(form.chart, 0)
+    out = form.chart.zero()
     for a, b in zip(form.coefficients, field.coefficients):
         out = out + a * b
     return out

@@ -11,7 +11,8 @@ every task, so tasks share their stages (one derived flag, frame, form,
 scan and flag per distribution) and nothing is kept after the request.
 
 Exit codes: 0 success, 2 model-text errors or a malformed ``--tasks`` or
-``--point``, 3 precondition failures, 4 unknown builtin model.
+``--point``, 3 precondition failures, 4 unknown builtin model, 5 an internal
+error (any other exception, reported as ``InternalError`` without a traceback).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ _EXIT_OK = 0
 _EXIT_MODEL = 2
 _EXIT_PRECONDITION = 3
 _EXIT_UNKNOWN_MODEL = 4
+_EXIT_INTERNAL = 5
 
 DEFAULT_TASKS = ("branch",)
 
@@ -194,13 +196,12 @@ def _render_text_report(report, elapsed):
     return "\n".join(lines) + "\n"
 
 
-def _emit_error(exc, fmt, out):
+def _emit_error(kind, message, fmt, out):
     if fmt == "json":
         out.write(_json_dump({"schema": 1,
-                              "error": {"type": type(exc).__name__,
-                                        "message": str(exc)}}))
+                              "error": {"type": kind, "message": message}}))
     else:
-        out.write(f"error [{type(exc).__name__}]: {exc}\n")
+        out.write(f"error [{kind}]: {message}\n")
 
 
 def _exit_code_for(exc):
@@ -324,8 +325,11 @@ def main(argv=None, out=None):
             return _cmd_models(ns, out)
         parser.error("unknown command")
     except FlagrankError as exc:
-        _emit_error(exc, fmt, out)
+        _emit_error(type(exc).__name__, str(exc), fmt, out)
         return _exit_code_for(exc)
+    except Exception as exc:  # last resort: a bug, reported without a traceback
+        _emit_error("InternalError", f"{type(exc).__name__}: {exc}", fmt, out)
+        return _EXIT_INTERNAL
     return _EXIT_OK
 
 

@@ -5,7 +5,7 @@ are generic (over the function field).  Pointwise ranks are a separate
 evaluation pass over the full generator lists, so points where a reduced
 basis happens to degenerate are still measured correctly, and a pole of any
 generator raises PoleAtPoint.  Every entry is evaluated exactly to a pair of
-integers; ``linalg.certified_rank`` certifies the generic rank modulo a prime
+integers; ``linalg.certified_pair_rank`` certifies the generic rank modulo a prime
 and falls back to exact ``fraction_rank`` elimination where it cannot.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .calculus import VectorField, lie_bracket, pairing
 from .errors import ChartMismatch, ConsistencyError, DependentForms, NotRank35
-from .linalg import Echelon, MatrixRF, certified_rank, kernel_basis, \
+from .linalg import Echelon, MatrixRF, certified_pair_rank, kernel_basis, \
     rank_generic
 
 
@@ -47,10 +47,6 @@ class Distribution:
     def matrix(self):
         return MatrixRF.from_rows(self.chart,
                                   [f.coefficients for f in self.frame])
-
-    def rank_at(self, point):
-        return certified_rank([f.coefficients for f in self.generators], point,
-                              self.generic_rank)
 
     def echelon(self):
         return Echelon(self.chart.dimension,
@@ -157,7 +153,9 @@ def derived_flag(dist):
 
     Step k+1 spans step k together with brackets of the input frame against
     every generator of step k.  Returned distributions carry reduced frames
-    but keep the full generator lists for pointwise evaluation.
+    but keep the full generator lists for pointwise evaluation.  Each step's
+    generator list is a prefix of the next one's (``bracket_span`` starts
+    from the frame, then the previous list), which ``growth_at`` relies on.
     """
     chart = dist.chart
     dim = chart.dimension
@@ -178,16 +176,23 @@ def derived_flag(dist):
 def _flag_step(chart, basis, gens):
     step = Distribution(chart, basis, generators=gens)
     # reduced echelon rows are independent, so the generic rank needs no
-    # elimination; rank_at certifies against it
+    # elimination; growth_at certifies against it
     step._rank = len(basis)
     return step
 
 
 def growth_at(dist, point, steps=None):
-    """Pointwise ranks of the (generically computed) flag steps."""
+    """Pointwise ranks of the (generically computed) flag steps.
+
+    The generators of the last step are evaluated once; every step's rank is
+    certified on its prefix of those rows (see ``derived_flag``).
+    """
     if steps is None:
         steps, _ = derived_flag(dist)
-    return tuple(step.rank_at(point) for step in steps)
+    pairs = [[c.integer_pair(point) for c in g.coefficients]
+             for g in steps[-1].generators]
+    return tuple(certified_pair_rank(pairs[:len(step.generators)], step.generic_rank)
+                 for step in steps)
 
 
 def frobenius_integrable(dist):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Polynomial, RatFunc, poly_gcd
+from .algebra import Polynomial, poly_gcd
 
 
 class MatrixRF:
@@ -92,7 +92,7 @@ class Echelon:
         for row, (col, _) in zip(self.rows, self.pivots):
             c = v[col]
             if not c.is_zero():
-                v = [a - c * b for a, b in zip(v, row)]
+                v = _eliminate(v, c, row)
         return v
 
     def contains(self, vector):
@@ -106,14 +106,19 @@ class Echelon:
             return False
         col, pivot = min(candidates, key=lambda je: _pivot_score(je[1], je[0]))
         was_constant = pivot.is_constant()
-        v = [e / pivot for e in v]
+        v = [e if e.is_zero() else e / pivot for e in v]
         for i, row in enumerate(self.rows):
             c = row[col]
             if not c.is_zero():
-                self.rows[i] = [a - c * b for a, b in zip(row, v)]
+                self.rows[i] = _eliminate(row, c, v)
         self.rows.append(v)
         self.pivots.append((col, was_constant))
         return True
+
+
+def _eliminate(v, c, row):
+    """``v - c * row``, entrywise; zero entries of ``row`` leave ``v`` as is."""
+    return [a if b.is_zero() else a - c * b for a, b in zip(v, row)]
 
 
 def rank_generic(matrix):
@@ -213,7 +218,12 @@ def certified_rank(rows, point, generic_rank):
     never exactness.  Any upper bound on the rank at the point may stand in
     for r = ``generic_rank``.
     """
-    pairs = [[f.integer_pair(point) for f in row] for row in rows]
+    return certified_pair_rank([[f.integer_pair(point) for f in row] for row in rows],
+                               generic_rank)
+
+
+def certified_pair_rank(pairs, generic_rank):
+    """``certified_rank`` of rows already evaluated to integer pairs (n, d)."""
     if _rank_mod_p(pairs, generic_rank) == generic_rank:
         return generic_rank
     return fraction_rank([[Fraction(n, d) for n, d in row] for row in pairs])
@@ -258,8 +268,8 @@ def kernel_basis(matrix):
     for r in matrix.row_lists():
         ech.add(r)
     pivot_cols = set(ech.pivot_columns())
-    zero = RatFunc.constant(chart, 0)
-    one = RatFunc.constant(chart, 1)
+    zero = chart.zero()
+    one = chart.one()
     basis = []
     for free in range(matrix.cols):
         if free in pivot_cols:

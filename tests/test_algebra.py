@@ -1,14 +1,16 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagrank import Chart, Polynomial, RatFunc
+from flagrank import Chart, Polynomial, RatFunc, catalog_list, cli
 from flagrank.algebra import _heuristic_gcd, _prs_entry, poly_gcd
 from flagrank.errors import ChartMismatch, DivisionByZero, PoleAtPoint, UnknownVariable
-from util import sc
+from util import ref_add, ref_derivative, ref_div, ref_mul, ref_neg, ref_sub, sc, \
+    sparse_ratfuncs
 
 CH = Chart("A", ("x", "y", "z"))
 CH6 = Chart("B", ("u1", "u2", "u3", "x", "y", "z"))
@@ -250,3 +252,98 @@ def test_heuristic_gcd_gives_up_on_huge_coefficients():
     f, g = h * (y + one), h * (y - one)
     assert _heuristic_gcd(f, g) is None
     assert poly_gcd(f, g) == h
+
+
+# --- zero and one fast paths against the full constructor ---
+
+# an equal but distinct chart: its zero and one are other objects
+TWIN = Chart("A", ("x", "y", "z"))
+_operands = st.one_of(sparse_ratfuncs(CH), st.just(TWIN.zero()), st.just(TWIN.one()))
+
+
+def _same(fast, reference):
+    assert fast == reference
+    assert fast.num.terms == reference.num.terms
+    assert fast.den.terms == reference.den.terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands, _operands)
+def test_arithmetic_fast_paths_match_full_constructor(f, g):
+    _same(f + g, ref_add(f, g))
+    _same(f - g, ref_sub(f, g))
+    _same(f * g, ref_mul(f, g))
+    _same(-f, ref_neg(f))
+    if g.is_zero():
+        with pytest.raises(DivisionByZero):
+            f / g
+    else:
+        _same(f / g, ref_div(f, g))
+    for var in CH.variables:
+        _same(f.derivative(var), ref_derivative(f, var))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operands, st.integers(-3, 3))
+def test_integer_operands_match_full_constructor(f, n):
+    c = RatFunc(Polynomial.constant(CH, n), Polynomial.constant(CH, 1))
+    _same(f + n, ref_add(f, c))
+    _same(n - f, ref_sub(c, f))
+    _same(n * f, ref_mul(c, f))
+    if n:
+        _same(f / n, ref_div(f, c))
+
+
+def test_division_by_zero_still_raises():
+    x = sc(CH, "x")
+    for zero in (CH.zero(), TWIN.zero(), sc(CH, "x - x")):
+        with pytest.raises(DivisionByZero):
+            x / zero
+        with pytest.raises(DivisionByZero):
+            zero / zero
+        with pytest.raises(DivisionByZero):
+            zero.reciprocal()
+        with pytest.raises(DivisionByZero):
+            1 / zero
+        with pytest.raises(DivisionByZero):
+            x / 0
+
+
+def test_shared_zero_and_one():
+    assert CH.zero() is CH.zero() is CH.const(0) is RatFunc.constant(CH, 0)
+    assert CH.one() is CH.const(1) is RatFunc.constant(CH, Fraction(1))
+    assert sc(CH, "x - x").num is CH.zero().num
+    assert (sc(CH, "x") * CH.zero()) is CH.zero()
+    assert sc(CH, "y").derivative("x") is CH.zero()
+    assert TWIN.zero() is not CH.zero() and TWIN.one() is not CH.one()
+    assert TWIN.zero() == CH.zero() and hash(TWIN.zero()) == hash(CH.zero())
+    assert TWIN.one() == CH.one() and hash(TWIN.one()) == hash(CH.one())
+    assert sc(CH, "x") + TWIN.zero() == sc(CH, "x")
+    assert (sc(CH, "x") * TWIN.one()).chart == CH
+
+
+def _canonical_constants(chart):
+    unit = {(0,) * chart.dimension: 1}
+    zero, one = chart.zero(), chart.one()
+    return (zero.num.terms, zero.den.terms, one.num.terms, one.den.terms) == \
+        ({}, unit, unit, unit)
+
+
+def test_shared_constants_survive_every_builtin_analysis(monkeypatch):
+    charts = []
+    init = Chart.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        charts.append(self)
+
+    monkeypatch.setattr(Chart, "__init__", recording_init)
+    tasks = "growth,classify,scan,flag,branch,symbol"
+    for spec in catalog_list():
+        # j21 stops at ``symbol`` with a ConsistencyError (exit 3)
+        code = cli.main(["analyze", "--builtin", spec.name, "--tasks", tasks,
+                         "--samples", "4", "--format", "json"], out=io.StringIO())
+        assert code in (0, 3)
+    used = [chart for chart in charts if chart._zero is not None]
+    assert len(used) >= len(catalog_list())
+    assert all(_canonical_constants(chart) for chart in used)

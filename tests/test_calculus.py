@@ -5,8 +5,10 @@ import random
 import pytest
 
 from flagrank import Chart, OneForm, VectorField, coordinate_field, lie_bracket, pairing
+from hypothesis import given, settings, strategies as st
+
 from flagrank.errors import ChartMismatch
-from util import rand_ratfunc, sc, vf
+from util import rand_ratfunc, ref_lie_bracket, sc, sparse_ratfuncs, vf
 
 CH = Chart("A", ("x", "y", "z"))
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
@@ -91,3 +93,13 @@ def test_bracket_bilinearity_over_rationals():
     a, b, c = (_random_field(rng) for _ in range(3))
     assert lie_bracket(a, b + c) == lie_bracket(a, b) + lie_bracket(a, c)
     assert lie_bracket(a.scale(3), b) == lie_bracket(a, b).scale(3)
+
+
+_fields = st.lists(sparse_ratfuncs(CH, max_exponent=1), min_size=3, max_size=3).map(
+    lambda coeffs: VectorField(CH, coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fields, _fields)
+def test_lie_bracket_matches_unshortcut_reference(x, y):
+    assert lie_bracket(x, y) == ref_lie_bracket(x, y)

@@ -116,6 +116,24 @@ def test_malformed_request_exits_2_before_any_analysis(monkeypatch, tasks, point
     assert text.startswith("error [UsageError]: ")
 
 
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(analysis, request):
+        raise RuntimeError("stage exploded")
+
+    monkeypatch.setitem(cli._RUNNERS, "growth", broken)
+    argv = ["analyze", "--builtin", "eq5", "--tasks", "growth"]
+    code, text = run_cli(argv + ["--format", "json"])
+    assert code == 5
+    assert json.loads(text) == {
+        "schema": 1,
+        "error": {"type": "InternalError",
+                  "message": "RuntimeError: stage exploded"}}
+    code, text = run_cli(argv)
+    assert code == 5
+    assert text == "error [InternalError]: RuntimeError: stage exploded\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_json_reports_are_byte_identical():
     argv = ["analyze", "--builtin", "eq6", "--tasks", "branch,scan,symbol",
             "--format", "json", "--seed", "5"]

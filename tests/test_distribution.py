@@ -1,6 +1,7 @@
 """Derived flags, growth vectors, characteristics, and the square-root plane."""
 
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,9 @@ from flagrank import Chart, Distribution, MatrixRF, OneForm, annihilator_frame, 
     cauchy_characteristic, coordinate_field, derived_flag, frobenius_integrable, \
     get_model, growth_at, lie_bracket, rank_generic, span_contains, span_reduce, \
     spans_equal, square_root_subdistribution
-from flagrank.errors import DependentForms, NotRank35
+from flagrank.errors import DependentForms, NotRank35, PoleAtPoint
+from flagrank.linalg import certified_rank
+from flagrank.models import catalog_list, model_eq3, model_eq4
 from util import brute_growth_at, change_frame, combine, rand_invertible, \
     rand_polynomial, sc, vf
 
@@ -90,6 +93,52 @@ def test_growth_matches_brute_force_oracle():
             p = d.chart.point(coords)
             assert brute_growth_at(d, p) == growth.ranks
             assert growth_at(d, p, steps) == growth.ranks
+
+
+def _seeded_parameter(rng, variables):
+    terms = [f"{rng.choice((-3, -2, -1, 1, 2, 3))}*{rng.choice(variables)}"
+             f"*{rng.choice(variables)}^{rng.randint(0, 2)}" for _ in range(3)]
+    return " + ".join(terms)
+
+
+def _flag_inputs():
+    rng = random.Random(7)
+    inputs = [(spec.name, get_model(spec.name).distribution())
+              for spec in catalog_list()]
+    for i in range(2):
+        eq3 = _seeded_parameter(rng, ("x", "u1", "u2", "z"))
+        eq4 = _seeded_parameter(rng, ("x", "u1", "u2", "z", "w"))
+        inputs += [(f"eq3-{i}", model_eq3(eq3)), (f"eq4-{i}", model_eq4(eq4))]
+    # a pole on the plane x = 1
+    pole = f"({_seeded_parameter(rng, ('x', 'z'))})/(x - 1)"
+    inputs.append(("eq3-pole", model_eq3(pole)))
+    return inputs
+
+
+_FLAG_INPUTS = _flag_inputs()
+
+
+@pytest.mark.parametrize("dist", [d for _, d in _FLAG_INPUTS],
+                         ids=[name for name, _ in _FLAG_INPUTS])
+def test_growth_at_reads_flag_generators_as_nested_prefixes(dist):
+    steps, _ = derived_flag(dist)
+    last = steps[-1].generators
+    for step in steps:
+        assert step.generators == last[:len(step.generators)]
+    rng = random.Random(3)
+    points = [(0, 0, 0, 1, 0, 0)] + [tuple(rng.randint(-2, 2) for _ in range(6))
+                                     for _ in range(4)]
+    for coords in points:
+        p = dist.chart.point(coords)
+        # the per-step evaluation growth_at replaces
+        try:
+            expected = tuple(certified_rank([g.coefficients for g in s.generators],
+                                            p, s.generic_rank) for s in steps)
+        except PoleAtPoint as exc:
+            with pytest.raises(PoleAtPoint, match=re.escape(str(exc))):
+                growth_at(dist, p, steps)
+        else:
+            assert growth_at(dist, p, steps) == expected
 
 
 def test_growth_invariant_under_function_field_frame_change():

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from flagrank import Chart, MatrixRF, kernel_basis, rank_generic, solve_in_span
 from flagrank.errors import PoleAtPoint
 from flagrank import linalg
-from flagrank.linalg import CERTIFICATE_PRIME, certified_rank, fraction_rank
-from util import rand_ratfunc, sc, vf
+from flagrank.linalg import CERTIFICATE_PRIME, Echelon, certified_rank, fraction_rank
+from util import rand_ratfunc, ref_div, ref_mul, ref_sub, sc, sparse_ratfuncs, vf
 
 CH = Chart("A", ("x", "y", "z"))
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
@@ -203,3 +203,58 @@ def test_certified_rank_raises_at_a_pole():
     m = _matrix(CH, [[1, 0], [0, "1/(x - y)"]])
     with pytest.raises(PoleAtPoint, match="denominator vanishes at"):
         certified_rank(m.row_lists(), CH.point((2, 2, 0)), 2)
+
+
+class _ReferenceEchelon:
+    """``Echelon`` without the zero shortcuts: every entry is recomputed."""
+
+    def __init__(self, width):
+        self.rows = []
+        self.pivots = []
+
+    def residual(self, vector):
+        v = list(vector)
+        for row, (col, _) in zip(self.rows, self.pivots):
+            c = v[col]
+            v = [ref_sub(a, ref_mul(c, b)) for a, b in zip(v, row)]
+        return v
+
+    def add(self, vector):
+        v = self.residual(vector)
+        candidates = [(j, e) for j, e in enumerate(v) if not e.is_zero()]
+        if not candidates:
+            return False
+        col, pivot = min(candidates, key=lambda je: linalg._pivot_score(je[1], je[0]))
+        v = [ref_div(e, pivot) for e in v]
+        for i, row in enumerate(self.rows):
+            c = row[col]
+            self.rows[i] = [ref_sub(a, ref_mul(c, b)) for a, b in zip(row, v)]
+        self.rows.append(v)
+        self.pivots.append((col, pivot.is_constant()))
+        return True
+
+
+_vectors = st.lists(sparse_ratfuncs(CH, max_exponent=1), min_size=4, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_vectors, min_size=1, max_size=4), st.lists(_vectors, max_size=2))
+def test_echelon_matches_unshortcut_reference(inserted, probes):
+    fast, reference = Echelon(4), _ReferenceEchelon(4)
+    for v in inserted:
+        assert fast.add(v) == reference.add(v)
+        assert fast.rows == reference.rows
+        assert fast.pivots == reference.pivots
+    for v in probes:
+        assert fast.residual(v) == reference.residual(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_vectors, min_size=1, max_size=3))
+def test_kernel_basis_annihilates_sparse_rows(rows):
+    m = MatrixRF.from_rows(CH, rows)
+    basis = kernel_basis(m)
+    assert len(basis) == 4 - rank_generic(m)
+    for vec in basis:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), CH.zero()).is_zero()

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from flagrank import Distribution, VectorField, lie_bracket, parse_scalar
+from hypothesis import strategies as st
+
+from flagrank import Distribution, Polynomial, RatFunc, VectorField, lie_bracket, \
+    parse_scalar
 from flagrank.linalg import fraction_rank
 
 
@@ -93,3 +96,64 @@ def rand_ratfunc(chart, rng):
     while den.is_zero():
         den = rand_polynomial(chart, rng, max_terms=2, max_degree=1)
     return num / den
+
+
+# --- reference arithmetic: every result goes through the full RatFunc(num, den)
+# constructor (gcd, sign and zero normalization), with no zero shortcut ---
+
+def ref_add(f, g):
+    return RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ref_neg(f):
+    return RatFunc(-f.num, f.den)
+
+
+def ref_sub(f, g):
+    return ref_add(f, ref_neg(g))
+
+
+def ref_mul(f, g):
+    return RatFunc(f.num * g.num, f.den * g.den)
+
+
+def ref_div(f, g):
+    return RatFunc(f.num * g.den, f.den * g.num)
+
+
+def ref_derivative(f, var):
+    return RatFunc(f.num.derivative(var) * f.den - f.num * f.den.derivative(var),
+                   f.den * f.den)
+
+
+def ref_lie_bracket(x, y):
+    """[X,Y]^i = sum_j X^j d_j Y^i - Y^j d_j X^i, every term computed."""
+    chart = x.chart
+    coeffs = []
+    for cx, cy in zip(x.coefficients, y.coefficients):
+        total = RatFunc(Polynomial.zero(chart), Polynomial.one(chart))
+        for xj, yj, var in zip(x.coefficients, y.coefficients, chart.variables):
+            total = ref_add(total, ref_sub(ref_mul(xj, ref_derivative(cy, var)),
+                                           ref_mul(yj, ref_derivative(cx, var))))
+        coeffs.append(total)
+    return VectorField(chart, coeffs)
+
+
+def sparse_ratfuncs(chart, max_exponent=2):
+    """RatFuncs that are zero or constant about two times in three.
+
+    Zero and constant operands are what the arithmetic fast paths skip, so
+    differential tests draw them often.
+    """
+    exps = st.tuples(*[st.integers(0, max_exponent)] * chart.dimension)
+
+    def polys(max_terms):
+        return st.dictionaries(exps, st.integers(-4, 4), max_size=max_terms).map(
+            lambda terms: Polynomial(chart, terms))
+
+    # two-term denominators keep the unreduced reference products small
+    general = st.tuples(polys(3), polys(2).filter(lambda p: not p.is_zero())).map(
+        lambda pair: RatFunc(*pair))
+    constants = st.fractions(min_value=-2, max_value=2, max_denominator=2).map(
+        lambda q: RatFunc.constant(chart, q))
+    return st.one_of(st.just(chart.zero()), constants, general)
