@@ -25,8 +25,7 @@ from .distribution import Distribution, GrowthVector, annihilator_frame, \
     square_root_subdistribution
 from .dsl import Model, ModelSource, elaborate, load_model, parse, parse_scalar, \
     render_model
-from .linalg import Echelon, MatrixRF, kernel_basis, rank_generic, \
-    solve_in_span
+from .linalg import Echelon, kernel_basis, rank_generic, solve_in_span
 from .models import ModelSpec, catalog_list, emit_dsl, eq3_parameter_chart, \
     eq3_source, eq4_parameter_chart, eq4_source, get_model, lift_pair, \
     model_elliptic_demo, model_eq3, model_eq4, model_eq5, model_eq6, \

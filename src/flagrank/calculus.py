@@ -9,6 +9,8 @@ from .errors import ChartMismatch
 class _Covariant:
     __slots__ = ("chart", "coefficients")
 
+    atom = None  # format of the coordinate basis element, e.g. "@{}"
+
     def __init__(self, chart, coefficients):
         coefficients = tuple(
             c if isinstance(c, RatFunc) else RatFunc.constant(chart, c)
@@ -54,6 +56,15 @@ class _Covariant:
     def __neg__(self):
         return type(self)(self.chart, [-c for c in self.coefficients])
 
+    def render(self):
+        parts = [f"({c.render()})*{self.atom.format(var)}"
+                 for c, var in zip(self.coefficients, self.chart.variables)
+                 if not c.is_zero()]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
     def scale(self, factor):
         factor = RatFunc.constant(self.chart, factor)
         return type(self)(self.chart, [factor * c for c in self.coefficients])
@@ -65,6 +76,8 @@ class _Covariant:
 class VectorField(_Covariant):
     """First-order differential operator with rational-function coefficients."""
 
+    atom = "@{}"
+
     def apply(self, f):
         """Directional derivative of a scalar function."""
         out = self.chart.zero()
@@ -75,27 +88,9 @@ class VectorField(_Covariant):
                     out = out + c * d
         return out
 
-    def render(self):
-        parts = []
-        for c, var in zip(self.coefficients, self.chart.variables):
-            if not c.is_zero():
-                parts.append(f"({c.render()})*@{var}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"VectorField({self.render()})"
-
 
 class OneForm(_Covariant):
-    def render(self):
-        parts = []
-        for c, var in zip(self.coefficients, self.chart.variables):
-            if not c.is_zero():
-                parts.append(f"({c.render()})*d({var})")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"OneForm({self.render()})"
+    atom = "d({})"
 
 
 def coordinate_field(chart, var):

@@ -19,8 +19,7 @@ from .calculus import VectorField, coordinate_field, lie_bracket
 from .distribution import derived_flag, growth_at, square_root_subdistribution
 from .errors import ConsistencyError, NotGrowth356, PoleAtPoint, \
     SampleBudgetExhausted, SymmetryViolated
-from .linalg import Echelon, MatrixRF, certified_rank, rank_generic, \
-    solve_in_span
+from .linalg import Echelon, certified_rank, rank_generic, solve_in_span
 
 
 class PointClass(Enum):
@@ -71,9 +70,7 @@ class BracketForm:
     frame: AdaptedFrame
 
     def matrix(self):
-        chart = self.a11.chart
-        return MatrixRF.from_rows(chart, [[self.a11, self.a12],
-                                          [self.a21, self.a22]])
+        return [[self.a11, self.a12], [self.a21, self.a22]]
 
     def det(self):
         return self.a11 * self.a22 - self.a12 * self.a21

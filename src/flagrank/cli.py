@@ -10,9 +10,10 @@ request then builds one ``Analysis`` per target distribution and hands it to
 every task, so tasks share their stages (one derived flag, frame, form,
 scan and flag per distribution) and nothing is kept after the request.
 
-Exit codes: 0 success, 2 model-text errors or a malformed ``--tasks`` or
-``--point``, 3 precondition failures, 4 unknown builtin model, 5 an internal
-error (any other exception, reported as ``InternalError`` without a traceback).
+Exit codes: 0 success, 2 model-text errors, an unreadable model file, or a
+malformed ``--tasks``, ``--point`` or ``--seed``, 3 precondition failures,
+4 unknown builtin model, 5 an internal error (any other exception, reported
+as ``InternalError`` without a traceback).
 """
 
 from __future__ import annotations
@@ -209,8 +210,6 @@ def _exit_code_for(exc):
         return _EXIT_UNKNOWN_MODEL
     if isinstance(exc, (ModelError, UsageError)):
         return _EXIT_MODEL
-    if isinstance(exc, PreconditionError):
-        return _EXIT_PRECONDITION
     return _EXIT_PRECONDITION
 
 
@@ -224,17 +223,14 @@ def _load_request_model(ns):
     if ns.source == "-":
         text = sys.stdin.read()
         return "<stdin>", load_model(ModelSource(text, "<stdin>"))
-    with open(ns.source, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(ns.source, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise UsageError(f"cannot read model file {ns.source!r}: {reason}") from None
     name = os.path.basename(ns.source)
     return name, load_model(ModelSource(text, ns.source))
-
-
-def _default_seed():
-    env = os.environ.get("FLAGRANK_SEED")
-    if env is None:
-        return 0
-    return int(env)
 
 
 def _cmd_analyze(ns, out):
@@ -299,7 +295,8 @@ def build_arg_parser():
     analyze.add_argument("--tasks", default=None,
                          help="comma-separated: growth,classify,scan,flag,symbol,branch,lift")
     analyze.add_argument("--samples", type=int, default=20)
-    analyze.add_argument("--seed", type=int, default=_default_seed())
+    analyze.add_argument("--seed", type=int,
+                         default=os.environ.get("FLAGRANK_SEED", "0"))
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--point", default=None,
                          help="evaluate pointwise tasks at '(q, ..., q)'")

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from .calculus import VectorField, lie_bracket, pairing
 from .errors import ChartMismatch, ConsistencyError, DependentForms, NotRank35
-from .linalg import Echelon, MatrixRF, certified_pair_rank, kernel_basis, \
-    rank_generic
+from .linalg import Echelon, certified_pair_rank, kernel_basis, rank_generic
 
 
 class Distribution:
@@ -41,12 +40,8 @@ class Distribution:
     @property
     def generic_rank(self):
         if self._rank is None:
-            self._rank = rank_generic(self.matrix())
+            self._rank = rank_generic([f.coefficients for f in self.frame])
         return self._rank
-
-    def matrix(self):
-        return MatrixRF.from_rows(self.chart,
-                                  [f.coefficients for f in self.frame])
 
     def echelon(self):
         return Echelon(self.chart.dimension,
@@ -127,10 +122,10 @@ def annihilator_frame(forms):
     for w in forms:
         if w.chart != chart:
             raise ChartMismatch("forms on different charts")
-    matrix = MatrixRF.from_rows(chart, [w.coefficients for w in forms])
-    if rank_generic(matrix) != len(forms):
+    rows = [w.coefficients for w in forms]
+    if rank_generic(rows) != len(forms):
         raise DependentForms("one-forms are generically dependent")
-    frame = [VectorField(chart, vec) for vec in kernel_basis(matrix)]
+    frame = [VectorField(chart, vec) for vec in kernel_basis(rows)]
     dist = Distribution(chart, frame)
     for w in forms:
         for x in frame:
@@ -252,7 +247,7 @@ def cauchy_characteristic(dist):
     for j in range(m):
         for k in range(chart.dimension):
             rows.append([residual[(i, j)][k] for i in range(m)])
-    solutions = kernel_basis(MatrixRF.from_rows(chart, rows))
+    solutions = kernel_basis(rows)
     fields = []
     for c in solutions:
         combo = combine(frame, c)
@@ -279,15 +274,12 @@ def square_root_subdistribution(dist):
         raise NotRank35("first derived span does not have rank 5")
     ech = dist.echelon()
     images = [ech.residual(b.coefficients) for b in brackets]
-    columns = MatrixRF.from_rows(
-        chart, [[images[c][k] for c in range(3)] for k in range(chart.dimension)])
-    kernel = kernel_basis(columns)
+    kernel = kernel_basis([list(column) for column in zip(*images)])
     if len(kernel) != 1:
         raise ConsistencyError("wedge kernel is not one-dimensional")
     b12, b13, b23 = kernel[0]
     # v ^ beta = 0 in a rank-3 fiber picks out exactly the plane of beta.
-    wedge_row = MatrixRF.from_rows(chart, [[b23, -b13, b12]])
-    plane = kernel_basis(wedge_row)
+    plane = kernel_basis([[b23, -b13, b12]])
     if len(plane) != 2:
         raise ConsistencyError("bivector did not decompose into a plane")
     fields = [combine(dist.frame, coords) for coords in plane]

@@ -651,30 +651,11 @@ def parse_scalar(chart, text):
     return value
 
 
-def _render_field(field):
-    parts = []
-    for c, var in zip(field.coefficients, field.chart.variables):
-        if not c.is_zero():
-            parts.append(f"({c.render()})*@{var}")
-    if not parts:
-        return f"0*@{field.chart.variables[0]}"
-    return " + ".join(parts)
-
-
-def _render_form(form):
-    parts = []
-    for c, var in zip(form.coefficients, form.chart.variables):
-        if not c.is_zero():
-            parts.append(f"({c.render()})*d({var})")
-    if not parts:
-        return f"0*d({form.chart.variables[0]})"
-    return " + ".join(parts)
-
-
-def _render_fraction(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _render_covariant(value):
+    """``value.render()``, but a zero field or form stays a parsable ``0*@x``."""
+    if value.is_zero():
+        return "0*" + value.atom.format(value.chart.variables[0])
+    return value.render()
 
 
 def render_model(model):
@@ -683,16 +664,14 @@ def render_model(model):
     lines = [f"chart {chart.name}({', '.join(chart.variables)})"]
     for kind, key in model.order:
         if kind == "field":
-            lines.append(f"field {key} = {_render_field(model.fields[key])}")
+            lines.append(f"field {key} = {_render_covariant(model.fields[key])}")
         elif kind == "form":
-            lines.append(f"form {key} = {_render_form(model.forms[key])}")
+            lines.append(f"form {key} = {_render_covariant(model.forms[key])}")
         elif kind == "dist":
             mode, refs = model.dist_defs[key]
             lines.append(f"dist {key} = {mode}({', '.join(refs)})")
         elif kind == "point":
-            p = model.points[key]
-            coords = ", ".join(_render_fraction(c) for c in p.coordinates)
-            lines.append(f"point {key} = ({coords})")
+            lines.append(f"point {key} = {model.points[key].render()}")
         elif kind == "task":
             task, args = model.tasks[key]
             lines.append(("task " + task + " " + " ".join(args)).rstrip())

@@ -1,56 +1,18 @@
 """Exact linear algebra over the rational-function field and over points.
 
-Generic ranks use fraction-free (Bareiss) elimination on denominator-cleared
-polynomial matrices.  Kernel and span computations run over the function field
-with a deterministic pivot score that prefers nonzero *constant* entries, then
-low-complexity entries, then earlier columns; this choice keeps computed
-frames polynomial (and valid at the origin) whenever possible.
+A matrix is a list of equal-length rows.  Over the function field one
+elimination serves every question: ``Echelon`` keeps a fully reduced row
+space with a deterministic pivot score that prefers nonzero *constant*
+entries, then low-complexity entries, then earlier columns; this choice keeps
+computed frames polynomial (and valid at the origin) whenever possible.
+Generic ranks, kernels and span coordinates are all read off it.  Ranks at a
+point are certified modulo a prime, with exact ``Fraction`` elimination as
+the fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .algebra import Polynomial, poly_gcd
-
-
-class MatrixRF:
-    """Dense row-major matrix of rational functions."""
-
-    __slots__ = ("chart", "rows", "cols", "entries")
-
-    def __init__(self, chart, rows, cols, entries):
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self.chart = chart
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, chart, row_lists):
-        row_lists = [list(r) for r in row_lists]
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        flat = []
-        for r in row_lists:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(chart, rows, cols, flat)
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_lists(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def entry(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def evaluate(self, point):
-        return [[e.evaluate(point) for e in self.row(i)] for i in range(self.rows)]
 
 
 def _pivot_score(value, col):
@@ -100,13 +62,18 @@ class Echelon:
 
     def add(self, vector):
         """Insert a vector; returns True when it enlarged the span."""
-        v = self.residual(vector)
+        v = list(vector)
+        if len(self.rows) == self.width == len(v):
+            return False  # the span is already the whole space
+        v = self.residual(v)
         candidates = [(j, e) for j, e in enumerate(v) if not e.is_zero()]
         if not candidates:
             return False
         col, pivot = min(candidates, key=lambda je: _pivot_score(je[1], je[0]))
         was_constant = pivot.is_constant()
-        v = [e if e.is_zero() else e / pivot for e in v]
+        # a pivot of one would rebuild every entry unchanged
+        if not (pivot.num.is_one() and pivot.den.is_one()):
+            v = [e if e.is_zero() else e / pivot for e in v]
         for i, row in enumerate(self.rows):
             c = row[col]
             if not c.is_zero():
@@ -121,61 +88,18 @@ def _eliminate(v, c, row):
     return [a if b.is_zero() else a - c * b for a, b in zip(v, row)]
 
 
-def rank_generic(matrix):
-    """Rank over the function field via fraction-free elimination."""
-    rows = [_cleared_row(r) for r in matrix.row_lists()]
-    return _bareiss_rank(rows)
+def rank_generic(rows):
+    """Rank over the function field of a list of equal-length rows; 0 for none.
+
+    The rank does not depend on row order, so the smallest rows go in first:
+    once they span the whole width, the larger ones are never eliminated.
+    """
+    width = len(rows[0]) if rows else 0
+    return Echelon(width, sorted(rows, key=_row_size)).rank
 
 
-def _cleared_row(row):
-    """Scale a RatFunc row by its denominator lcm; returns polynomial entries."""
-    lcm = None
-    for e in row:
-        d = e.den
-        if d.is_one():
-            continue
-        if lcm is None:
-            lcm = d
-        else:
-            lcm = (lcm * d).divexact(poly_gcd(lcm, d))
-    out = []
-    for e in row:
-        if lcm is None:
-            out.append(e.num)
-        else:
-            out.append(e.num * lcm.divexact(e.den))
-    return out
-
-
-def _bareiss_rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = None
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if not m[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                t = piv * m[i][j] - m[i][col] * m[rank][j]
-                if prev is not None:
-                    t = t.divexact(prev)
-                m[i][j] = t
-            m[i][col] = Polynomial.zero(piv.chart)
-        prev = piv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def _row_size(row):
+    return sum(e.complexity()[1] for e in row)
 
 
 def fraction_rank(rows):
@@ -257,24 +181,25 @@ def _rank_mod_p(pairs, target):
     return len(basis)
 
 
-def kernel_basis(matrix):
+def kernel_basis(rows):
     """Basis of the right kernel over the function field.
 
     One vector per free column, in column order; pivot coordinates are read
     off the fully reduced rows.
     """
-    chart = matrix.chart
-    ech = Echelon(matrix.cols)
-    for r in matrix.row_lists():
-        ech.add(r)
+    if not rows or not rows[0]:
+        return []
+    width = len(rows[0])
+    ech = Echelon(width, rows)
     pivot_cols = set(ech.pivot_columns())
+    chart = rows[0][0].chart
     zero = chart.zero()
     one = chart.one()
     basis = []
-    for free in range(matrix.cols):
+    for free in range(width):
         if free in pivot_cols:
             continue
-        vec = [zero] * matrix.cols
+        vec = [zero] * width
         vec[free] = one
         for row, (col, _) in zip(ech.rows, ech.pivots):
             if not row[free].is_zero():
@@ -292,12 +217,10 @@ def solve_in_span(target, columns):
     """
     if not columns:
         return None
-    chart = columns[0][0].chart
-    height = len(columns[0])
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(height)]
-    augmented = MatrixRF.from_rows(chart, rows)
+    rows = [[col[i] for col in columns] + [target[i]]
+            for i in range(len(columns[0]))]
     k = len(columns)
-    for vec in kernel_basis(augmented):
+    for vec in kernel_basis(rows):
         if not vec[k].is_zero():
             scale = vec[k]
             return [-(vec[i] / scale) for i in range(k)]

@@ -28,8 +28,7 @@ from .distribution import Distribution, bracket_span, combine, derived_flag, \
 from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
     NotParabolicNonDeg, PoleAtPoint, RankUnexpected, SampleBudgetExhausted, \
     SingularDistribution
-from .linalg import Echelon, MatrixRF, certified_rank, kernel_basis, \
-    solve_in_span
+from .linalg import Echelon, certified_rank, kernel_basis, solve_in_span
 
 
 class FlagBranch(Enum):
@@ -60,7 +59,7 @@ class ParabolicFlag:
         }
 
 
-def _bracket_kernel(domain_fields, direction, mod_echelon, chart):
+def _bracket_kernel(domain_fields, direction, mod_echelon):
     """Combos v of the domain with [direction, v] = 0 modulo the echelon span.
 
     Derivative terms of non-constant combination coefficients stay inside the
@@ -69,10 +68,8 @@ def _bracket_kernel(domain_fields, direction, mod_echelon, chart):
     """
     residuals = [mod_echelon.residual(lie_bracket(direction, f).coefficients)
                  for f in domain_fields]
-    rows = [[residuals[i][k] for i in range(len(domain_fields))]
-            for k in range(chart.dimension)]
-    kernel = kernel_basis(MatrixRF.from_rows(chart, rows))
-    return [combine(domain_fields, c) for c in kernel]
+    rows = [list(column) for column in zip(*residuals)]
+    return [combine(domain_fields, c) for c in kernel_basis(rows)]
 
 
 def parabolic_flag(dist, point_class=None):
@@ -232,7 +229,7 @@ def e_subdistribution(dist, flag, transverse=None):
         if transverse is None:
             raise ConsistencyError("no plane field transverse to the flag line")
     d4 = flag[4]
-    combos = _bracket_kernel(list(d4.frame), transverse, d4.echelon(), chart)
+    combos = _bracket_kernel(list(d4.frame), transverse, d4.echelon())
     sub = Distribution(chart, span_reduce(combos))
     if sub.generic_rank != 3:
         raise RankUnexpected(
@@ -346,12 +343,12 @@ class Analysis(Classification):
         if point_class is PointClass.PARABOLIC_DEG:
             branch = FlagBranch.DEGENERATE
             ech5 = d5.echelon()
-            combos = _bracket_kernel(list(d5.frame), frame.y, ech5, chart)
+            combos = _bracket_kernel(list(d5.frame), frame.y, ech5)
             d4 = Distribution(chart, span_reduce(combos))
             if d4.generic_rank != 4:
                 raise ConsistencyError("degenerate-branch depth-4 stratum has wrong rank")
             ech4 = d4.echelon()
-            line = _bracket_kernel([frame.x1, frame.x2], frame.y, ech4, chart)
+            line = _bracket_kernel([frame.x1, frame.x2], frame.y, ech4)
             line = [f for f in line if not f.is_zero()]
             if len(span_reduce(line)) != 1:
                 raise ConsistencyError("degenerate-branch line is not one-dimensional")

@@ -150,6 +150,42 @@ def test_env_seed_override(monkeypatch):
     assert json.loads(text)["request"]["seed"] == 9
 
 
+def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FLAGRANK_SEED", "abc")
+    with pytest.raises(SystemExit) as info:
+        run_cli(["analyze", "--builtin", "eq5", "--tasks", "growth"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+    # an explicit --seed still wins over the variable
+    code, text = run_cli(["analyze", "--builtin", "j21", "--tasks", "classify",
+                          "--format", "json", "--seed", "4"])
+    assert code == 0
+    assert json.loads(text)["request"]["seed"] == 4
+
+
+def test_missing_model_file_is_a_usage_error(tmp_path):
+    path = str(tmp_path / "absent.dist")
+    code, text = run_cli(["analyze", path, "--format", "json"])
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "UsageError"
+    assert repr(path) in error["message"]
+    assert "No such file or directory" in error["message"]
+    code, text = run_cli(["analyze", str(tmp_path), "--format", "json"])
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "UsageError"
+
+
+def test_non_utf8_model_file_is_a_usage_error(tmp_path):
+    path = tmp_path / "latin1.dist"
+    path.write_bytes("chart M(\xe9, x2, y, y1, y2, z)\n".encode("latin-1"))
+    code, text = run_cli(["analyze", str(path)])
+    assert code == 2
+    assert text.startswith(f"error [UsageError]: cannot read model file {str(path)!r}")
+
+
 def test_file_task_list_used_by_default(tmp_path):
     path = tmp_path / "demo.dist"
     path.write_text(

@@ -1,10 +1,11 @@
 """Model-language parsing, elaboration, and round-tripping."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flagrank import Chart, catalog_list, elaborate, load_model, parse, \
     parse_scalar, render_model
-from flagrank.dsl import ModelSource
+from flagrank.dsl import TASK_NAMES, ModelSource
 from flagrank.errors import ArityError, DegenerateFrame, DuplicateName, \
     InconsistentChart, ModelSyntaxError, TypeMismatch, UnknownIdentifier
 from util import sc
@@ -176,3 +177,97 @@ field X = @x
 field W = X + y*@z
 """)
     assert [c.render() for c in model.fields["W"].coefficients] == ["1", "0", "y"]
+
+
+_VARIABLES = ("x", "y", "z", "u1", "u2", "w")
+
+
+@st.composite
+def _poly_text(draw, variables, nonzero=False):
+    """Polynomial source text built term by term, independent of any renderer."""
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+                  st.lists(st.tuples(st.sampled_from(variables), st.integers(-1, 2)),
+                           max_size=2)),
+        min_size=1 if nonzero else 0, max_size=3))
+    parts = []
+    for coef, factors in terms:
+        parts.append("*".join([f"({coef})"] + [f"{v}^{e}" for v, e in factors]))
+    return " + ".join(parts) if parts else "0"
+
+
+@st.composite
+def _scalar_text(draw, variables):
+    kind = draw(st.sampled_from(("zero", "constant", "poly", "ratio", "ratio")))
+    if kind == "zero":
+        return "0"
+    if kind == "constant":
+        return str(draw(st.fractions(min_value=-3, max_value=3, max_denominator=3)))
+    num = draw(_poly_text(variables))
+    if kind == "poly":
+        return num
+    # a nonzero integer times a monomial never cancels to a zero denominator
+    den = draw(_poly_text(variables, nonzero=True)).split(" + ")[0]
+    return f"({num})/({den})"
+
+
+@st.composite
+def _covariant_text(draw, variables, atom, earlier):
+    """Field or form text; zero coefficients and all-zero values included."""
+    if draw(st.integers(0, 5)) == 0:
+        return f"0*{atom.format(draw(st.sampled_from(variables)))}"
+    parts = [f"({draw(_scalar_text(variables))})*{atom.format(v)}"
+             for v in draw(st.lists(st.sampled_from(variables), min_size=1,
+                                    max_size=3))]
+    if earlier and draw(st.integers(0, 2)) == 0:
+        parts.insert(0, draw(st.sampled_from(earlier)))
+    return " + ".join(parts)
+
+
+@st.composite
+def _model_text(draw):
+    dimension = draw(st.integers(2, 4))
+    variables = _VARIABLES[:dimension]
+    lines = [f"chart M({', '.join(variables)})"]
+    fields, forms, dists = [], [], []
+    for i in range(draw(st.integers(0, 4))):
+        lines.append(f"field F{i} = {draw(_covariant_text(variables, '@{}', fields))}")
+        fields.append(f"F{i}")
+    for i in range(draw(st.integers(0, 3))):
+        lines.append(f"form W{i} = {draw(_covariant_text(variables, 'd({})', forms))}")
+        forms.append(f"W{i}")
+    for i in range(draw(st.integers(0, 2))):
+        mode, pool = draw(st.sampled_from((("span", fields), ("ann", forms))))
+        if not pool:
+            continue
+        refs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2,
+                             unique=True))
+        lines.append(f"dist D{i} = {mode}({', '.join(refs)})")
+        dists.append(f"D{i}")
+    coordinate = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    for i in range(draw(st.integers(0, 2))):
+        coords = draw(st.lists(coordinate, min_size=dimension, max_size=dimension))
+        lines.append(f"point P{i} = ({', '.join(str(c) for c in coords)})")
+    for _ in range(draw(st.integers(0, 3))):
+        task = draw(st.sampled_from(TASK_NAMES))
+        if task == "lift":
+            if not fields:
+                continue
+            args = draw(st.lists(st.sampled_from(fields), min_size=3, max_size=3))
+        else:
+            args = draw(st.lists(st.sampled_from(dists), max_size=1)) if dists else []
+        lines.append(" ".join(["task", task] + args))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model_text())
+def test_render_model_round_trips_generated_models(text):
+    try:
+        model = load_model(ModelSource(text, "<fuzz>"))
+    except DegenerateFrame:
+        assume(False)  # a dependent span or ann frame; the text is still valid
+    rendered = render_model(model)
+    again = load_model(ModelSource(rendered, "<fuzz>"))
+    assert again == model
+    assert render_model(again) == rendered

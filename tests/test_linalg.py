@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flagrank import Chart, MatrixRF, kernel_basis, rank_generic, solve_in_span
+from flagrank import Chart, kernel_basis, rank_generic, solve_in_span
 from flagrank.errors import PoleAtPoint
 from flagrank import linalg
 from flagrank.linalg import CERTIFICATE_PRIME, Echelon, certified_rank, fraction_rank
@@ -17,7 +17,11 @@ J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
 
 
 def _matrix(chart, rows):
-    return MatrixRF.from_rows(chart, [[sc(chart, e) for e in row] for row in rows])
+    return [[sc(chart, e) for e in row] for row in rows]
+
+
+def _evaluate(m, point):
+    return [[e.evaluate(point) for e in row] for row in m]
 
 
 def test_rank_identity():
@@ -39,17 +43,24 @@ def test_rank_jet_frame():
         vf(J21, 0, 0, 0, 1, 0, 0),
         vf(J21, 0, 0, 1, 0, 0, 0),
     ]
-    m = MatrixRF.from_rows(J21, [f.coefficients for f in fields])
+    m = [f.coefficients for f in fields]
     assert rank_generic(m) == 5
     # oracle: exact ranks at sample points can only certify from below
     for coords in ((0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6)):
-        assert fraction_rank(m.evaluate(J21.point(coords))) == 5
+        assert fraction_rank(_evaluate(m, J21.point(coords))) == 5
 
 
 def test_rank_at_pole():
     m = _matrix(CH, [["1/x"]])
     with pytest.raises(PoleAtPoint):
-        fraction_rank(m.evaluate(CH.point((0, 0, 0))))
+        fraction_rank(_evaluate(m, CH.point((0, 0, 0))))
+
+
+def test_no_rows_and_ragged_rows():
+    assert rank_generic([]) == 0
+    assert kernel_basis([]) == []
+    with pytest.raises(ValueError, match="width mismatch"):
+        rank_generic(_matrix(CH, [[1, 0], [1]]))
 
 
 def test_kernel_zero_matrix():
@@ -93,9 +104,8 @@ def test_kernel_vectors_annihilate():
     rng = random.Random(11)
     for trial in range(5):
         rows = [[rand_ratfunc(CH, rng) for _ in range(4)] for _ in range(2)]
-        m = MatrixRF.from_rows(CH, rows)
-        basis = kernel_basis(m)
-        assert len(basis) == m.cols - rank_generic(m)
+        basis = kernel_basis(rows)
+        assert len(basis) == 4 - rank_generic(rows)
         for vec in basis:
             for row in rows:
                 assert sum((r * v for r, v in zip(row, vec)), CH.zero()).is_zero()
@@ -105,13 +115,12 @@ def test_rank_at_never_exceeds_generic():
     rng = random.Random(13)
     for trial in range(6):
         rows = [[rand_ratfunc(CH, rng) for _ in range(3)] for _ in range(3)]
-        m = MatrixRF.from_rows(CH, rows)
-        generic = rank_generic(m)
+        generic = rank_generic(rows)
         achieved = 0
         for _ in range(25):
             p = CH.point((rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)))
             try:
-                r = fraction_rank(m.evaluate(p))
+                r = fraction_rank(_evaluate(rows, p))
             except PoleAtPoint:
                 continue
             assert r <= generic
@@ -122,14 +131,14 @@ def test_rank_at_never_exceeds_generic():
 
 def _exact_rank_or_pole(m, point):
     try:
-        return fraction_rank(m.evaluate(point))
+        return fraction_rank(_evaluate(m, point))
     except PoleAtPoint:
         return None
 
 
 def _certified_or_pole(m, point, generic):
     try:
-        return certified_rank(m.row_lists(), point, generic)
+        return certified_rank(m, point, generic)
     except PoleAtPoint:
         return None
 
@@ -141,6 +150,8 @@ _grid = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2),
        st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=6))
+# five rows that took minutes to eliminate in their shuffled order
+@example(424997160, 3, 2, [(0, 0, 0), (1, -1, 2)])
 def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
     rng = random.Random(seed)
     base = []
@@ -155,19 +166,18 @@ def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
          for j in range(3)]
         for _ in range(extra)]
     rng.shuffle(rows)
-    m = MatrixRF.from_rows(CH, rows)
-    generic = rank_generic(m)
+    generic = rank_generic(rows)
     for coords in points:
         p = CH.point(coords)
-        assert _certified_or_pole(m, p, generic) == _exact_rank_or_pole(m, p)
+        assert _certified_or_pole(rows, p, generic) == _exact_rank_or_pole(rows, p)
 
 
 def test_certified_rank_below_generic_rank():
     m = _matrix(CH, [["x", 1, "y"], [1, "x", "z"]])
     assert rank_generic(m) == 2
-    assert certified_rank(m.row_lists(), CH.point((1, 1, 1)), 2) == 1
-    assert certified_rank(m.row_lists(), CH.point((1, 1, 2)), 2) == 2
-    assert certified_rank(m.row_lists(), CH.point((0, 0, 0)), 2) == 2
+    assert certified_rank(m, CH.point((1, 1, 1)), 2) == 1
+    assert certified_rank(m, CH.point((1, 1, 2)), 2) == 2
+    assert certified_rank(m, CH.point((0, 0, 0)), 2) == 2
 
 
 def _counting_fraction_rank(monkeypatch):
@@ -185,9 +195,9 @@ def test_certified_rank_falls_back_on_denominator_divisible_by_p(monkeypatch):
     calls = _counting_fraction_rank(monkeypatch)
     m = _matrix(CH, [["1/x", 0], [0, 1]])
     p = CERTIFICATE_PRIME
-    assert certified_rank(m.row_lists(), CH.point((p, 0, 0)), 2) == 2
+    assert certified_rank(m, CH.point((p, 0, 0)), 2) == 2
     assert calls == [[[Fraction(1, p), 0], [0, 1]]]
-    assert certified_rank(m.row_lists(), CH.point((p + 1, 0, 0)), 2) == 2
+    assert certified_rank(m, CH.point((p + 1, 0, 0)), 2) == 2
     assert len(calls) == 1
 
 
@@ -195,14 +205,23 @@ def test_certified_rank_falls_back_when_p_divides_a_minor(monkeypatch):
     calls = _counting_fraction_rank(monkeypatch)
     m = _matrix(CH, [["x", 1], [1, 1]])
     # det = x - 1 vanishes mod p, not over the rationals
-    assert certified_rank(m.row_lists(), CH.point((CERTIFICATE_PRIME + 1, 0, 0)), 2) == 2
+    assert certified_rank(m, CH.point((CERTIFICATE_PRIME + 1, 0, 0)), 2) == 2
     assert len(calls) == 1
 
 
 def test_certified_rank_raises_at_a_pole():
     m = _matrix(CH, [[1, 0], [0, "1/(x - y)"]])
     with pytest.raises(PoleAtPoint, match="denominator vanishes at"):
-        certified_rank(m.row_lists(), CH.point((2, 2, 0)), 2)
+        certified_rank(m, CH.point((2, 2, 0)), 2)
+
+
+def test_echelon_full_rank_takes_no_more_rows():
+    ech = Echelon(2, _matrix(CH, [["x", 1], [1, "y"]]))
+    rows = list(ech.rows)
+    assert not ech.add(_matrix(CH, [["1/(x - y)", "x^2*z"]])[0])
+    assert ech.rows == rows and ech.rank == 2
+    with pytest.raises(ValueError, match="width mismatch"):
+        ech.add(_matrix(CH, [[1]])[0])
 
 
 class _ReferenceEchelon:
@@ -252,9 +271,8 @@ def test_echelon_matches_unshortcut_reference(inserted, probes):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_vectors, min_size=1, max_size=3))
 def test_kernel_basis_annihilates_sparse_rows(rows):
-    m = MatrixRF.from_rows(CH, rows)
-    basis = kernel_basis(m)
-    assert len(basis) == 4 - rank_generic(m)
+    basis = kernel_basis(rows)
+    assert len(basis) == 4 - rank_generic(rows)
     for vec in basis:
         for row in rows:
             assert sum((a * b for a, b in zip(row, vec)), CH.zero()).is_zero()
