@@ -147,7 +147,8 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.terms)
 
     def is_one(self):
-        return self.terms == {(0,) * self.chart.dimension: 1}
+        terms = self.terms
+        return len(terms) == 1 and terms.get((0,) * self.chart.dimension) == 1
 
     def constant_value(self):
         if self.is_zero():
@@ -613,6 +614,9 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
+    def is_one(self):
+        return self.num.is_one() and self.den.is_one()
+
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
 
@@ -690,6 +694,11 @@ class RatFunc:
             return self
         if not other.num.terms:
             return other
+        # a factor of one leaves the other operand, which is already canonical
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         num = self.num.divexact(g1) * other.num.divexact(g2)

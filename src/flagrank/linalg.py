@@ -7,7 +7,7 @@ entries, then low-complexity entries, then earlier columns; this choice keeps
 computed frames polynomial (and valid at the origin) whenever possible.
 Generic ranks, kernels and span coordinates are all read off it.  Ranks at a
 point are certified modulo a prime, with exact ``Fraction`` elimination as
-the fallback.
+the fallback; coordinates at a point come from one ``Fraction`` elimination.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class Echelon:
         col, pivot = min(candidates, key=lambda je: _pivot_score(je[1], je[0]))
         was_constant = pivot.is_constant()
         # a pivot of one would rebuild every entry unchanged
-        if not (pivot.num.is_one() and pivot.den.is_one()):
+        if not pivot.is_one():
             v = [e if e.is_zero() else e / pivot for e in v]
         for i, row in enumerate(self.rows):
             c = row[col]
@@ -126,6 +126,32 @@ def fraction_rank(rows):
         if rank == n_rows:
             break
     return rank
+
+
+def fraction_solve(columns, targets):
+    """Coordinates of every target in the basis ``columns``, exactly over ℚ.
+
+    ``columns`` are n independent vectors of length n, ``targets`` vectors of
+    the same length; one Gauss–Jordan elimination of [columns | targets]
+    serves them all.  Raises ValueError when the columns are not a basis.
+    """
+    n = len(columns)
+    m = [[Fraction(v[i]) for v in columns] + [Fraction(t[i]) for t in targets]
+         for i in range(n)]
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot_row is None:
+            raise ValueError("the columns are not a basis")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        row = m[col]
+        piv = row[col]
+        if piv != 1:
+            row = m[col] = [a / piv if a else a for a in row]
+        for i in range(n):
+            f = m[i][col]
+            if i != col and f:
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], row)]
+    return [[m[i][n + t] for i in range(n)] for t in range(len(targets))]
 
 
 CERTIFICATE_PRIME = (1 << 61) - 1

@@ -28,7 +28,8 @@ from .distribution import Distribution, bracket_span, combine, derived_flag, \
 from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
     NotParabolicNonDeg, PoleAtPoint, RankUnexpected, SampleBudgetExhausted, \
     SingularDistribution
-from .linalg import Echelon, certified_rank, kernel_basis, solve_in_span
+from .linalg import Echelon, certified_pair_rank, fraction_solve, kernel_basis, \
+    solve_in_span
 
 
 class FlagBranch(Enum):
@@ -129,7 +130,9 @@ class SymbolClass(Enum):
 
 _LABELS = (1, 2, 3, 4, 5, 7)
 _WEIGHTS = {1: -1, 2: -2, 3: -3, 4: -4, 5: -5, 7: -7}
-_LABEL_FOR_WEIGHT = {w: k for k, w in _WEIGHTS.items()}
+# index pairs (a, b), a < b, of the symbol frame's 15 brackets
+_PAIRS = tuple((a, b) for a in range(len(_LABELS))
+               for b in range(a + 1, len(_LABELS)))
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,30 @@ class SymbolAlgebra:
         }
 
 
+def _partials_at(point, coeff, partials):
+    """{j: ∂_j(n/d)(point)} of a coefficient n/d with d(point) != 0.
+
+    ``partials`` lists (j, ∂_j n, ∂_j d).  Each polynomial evaluates to an
+    integer over a power of the point's common denominator B, and
+    ∂_j(n/d) = (∂_j n * d - n * ∂_j d) / d^2 builds one Fraction.
+    """
+    n, n_deg = point.homogenized(coeff.num)
+    d, d_deg = point.homogenized(coeff.den)
+    out = {}
+    for j, n_j, d_j in partials:
+        nj, nj_deg = point.homogenized(n_j)
+        dj, dj_deg = point.homogenized(d_j)
+        # both products over the common scale B^top_deg
+        left, right = nj_deg + d_deg, n_deg + dj_deg
+        top_deg = max(left, right)
+        top = nj * d * point.scale_power(top_deg - left) \
+            - n * dj * point.scale_power(top_deg - right)
+        if top:
+            out[j] = Fraction(top * point.scale_power(2 * d_deg),
+                              d * d * point.scale_power(top_deg))
+    return out
+
+
 def symbol_d_function(dist, flag):
     """The d-invariant as a rational function (zero iff the symbol is g0)."""
     return Analysis(dist, flag).d_function
@@ -205,10 +232,13 @@ def symbol_d_function(dist, flag):
 def symbol_algebra_at(dist, point):
     """Structure constants of the nilpotentization at a point, with d normalized.
 
-    Requires the non-degenerate parabolic class at the point.  Components of
-    each bracket that sit exactly in the graded slot of the pair are the
-    reported constants; components landing strictly deeper are recorded as
-    grading violations (none occur for inputs in the class).
+    Requires the non-degenerate parabolic class at the point and a symbol
+    frame of rank 6 there.  The 15 brackets of the frame are evaluated at the
+    point from its exact first jets and solved in one elimination over ℚ; no
+    bracket is computed symbolically.  Components of each bracket that sit
+    exactly in the graded slot of the pair are the reported constants;
+    components landing strictly deeper are recorded as grading violations
+    (none occur for inputs in the class).
     """
     return Analysis(dist).symbol_at(point)
 
@@ -313,15 +343,15 @@ def branch_classify(dist, samples=20, seed=0):
 class Analysis(Classification):
     """Every pipeline stage of one distribution, each built at most once.
 
-    Adds the flag, its relations, the symbol frame with the coordinates of
-    its 15 brackets (solved once, then only evaluated at each point), the
-    d-function and the E-subdistribution.  A given ``flag`` replaces the
-    flag stage.
+    Adds the flag, its relations, the symbol frame with the first partials
+    of its coefficients (the symbol at a point is built from their values
+    there), the d-function (the one bracket of the frame solved over the
+    function field) and the E-subdistribution.  A given ``flag`` replaces
+    the flag stage.
     """
 
     def __init__(self, dist, flag=None):
         super().__init__(dist)
-        self._coords = {}
         if flag is not None:
             self.flag = flag
 
@@ -395,22 +425,76 @@ class Analysis(Classification):
             raise ConsistencyError("symbol frame is generically degenerate")
         return fields
 
-    def _bracket_coords(self, a, b):
-        """Coordinates of [F_a, F_b] in the symbol frame, solved once per pair."""
-        if (a, b) not in self._coords:
-            fields = self.symbol_fields
-            coords = solve_in_span(lie_bracket(fields[a], fields[b]).coefficients,
-                                   [f.coefficients for f in fields])
-            if coords is None:
-                raise ConsistencyError(
-                    f"[e{_LABELS[a]},e{_LABELS[b]}] left the symbol frame span")
-            self._coords[(a, b)] = coords
-        return self._coords[(a, b)]
+    @cached_property
+    def symbol_partials(self):
+        """First partials of the symbol frame's coefficients, as polynomials.
+
+        Entry [a][i] belongs to coefficient i of F_a, a reduced n/d: None when
+        it is constant, else a list of (j, ∂_j n, ∂_j d) over the coordinates
+        j that n or d contains.
+        """
+        variables = self.dist.chart.variables
+        partials = []
+        for f in self.symbol_fields:
+            row = []
+            for c in f.coefficients:
+                if c.is_constant():
+                    row.append(None)
+                    continue
+                used = c.variables_used()
+                row.append([(j, c.num.derivative(v), c.den.derivative(v))
+                            for j, v in enumerate(variables) if v in used])
+            partials.append(row)
+        return partials
 
     @cached_property
     def d_function(self):
-        """The e7-coordinate of [F3, F4]: the d-invariant before normalization."""
-        return self._bracket_coords(2, 3)[5]
+        """The e7-coordinate of [F3, F4]: the d-invariant before normalization.
+
+        This is the symbol stage's one symbolic solve; ``symbol_at`` works
+        from first jets at its point.
+        """
+        fields = self.symbol_fields
+        coords = solve_in_span(lie_bracket(fields[2], fields[3]).coefficients,
+                               [f.coefficients for f in fields])
+        if coords is None:
+            raise ConsistencyError("[e3,e4] left the symbol frame span")
+        return coords[5]
+
+    def bracket_coordinates_at(self, point):
+        """Coordinates of the 15 brackets [F_a, F_b], a < b, in the symbol frame.
+
+        They come from the frame's exact first jets at the point:
+        [F_a, F_b]^i = sum_j F_a^j ∂_j F_b^i - F_b^j ∂_j F_a^i, and one
+        elimination over ℚ of the frame's values solves all 15 brackets.
+        Raises PoleAtPoint where a frame coefficient has a pole or the frame
+        has rank below 6; elsewhere every reduced symbolic coordinate is
+        regular at the point and has exactly these values.
+        """
+        fields = self.symbol_fields
+        # every coefficient is evaluated before any bracket, so a pole raises here
+        pairs = [[c.integer_pair(point) for c in f.coefficients] for f in fields]
+        if certified_pair_rank(pairs, 6) != 6:
+            raise PoleAtPoint(
+                f"symbol frame degenerates at {point.render()}; choose another point")
+        values = [[Fraction(n, d) for n, d in row] for row in pairs]
+        jets = [[{} if parts is None else _partials_at(point, c, parts)
+                 for c, parts in zip(f.coefficients, row)]
+                for f, row in zip(fields, self.symbol_partials)]
+        brackets = []
+        for a, b in _PAIRS:
+            bracket = []
+            for jet_a, jet_b in zip(jets[a], jets[b]):
+                total = 0
+                for j, partial in jet_b.items():
+                    if values[a][j]:
+                        total += values[a][j] * partial
+                for j, partial in jet_a.items():
+                    if values[b][j]:
+                        total -= values[b][j] * partial
+                bracket.append(total)
+            brackets.append(bracket)
+        return fraction_solve(values, brackets)
 
     def symbol_at(self, point):
         """``(SymbolAlgebra, SymbolClass)`` at a point; see ``symbol_algebra_at``."""
@@ -421,25 +505,21 @@ class Analysis(Classification):
         if point_cls is not PointClass.PARABOLIC_NONDEG:
             raise NotParabolicNonDeg(f"class at {point.render()} is {point_cls.value}")
         fields = self.symbol_fields
-        if certified_rank([f.coefficients for f in fields], point, 6) != 6:
-            raise PoleAtPoint(
-                f"symbol frame degenerates at {point.render()}; choose another point")
+        coordinates = self.bracket_coordinates_at(point)
         constants = {}
         violations = []
-        for a in range(len(_LABELS)):
-            for b in range(a + 1, len(_LABELS)):
-                i, j = _LABELS[a], _LABELS[b]
-                values = [c.evaluate(point) for c in self._bracket_coords(a, b)]
-                target = _WEIGHTS[i] + _WEIGHTS[j]
-                comps = {}
-                for k, value in zip(_LABELS, values):
-                    if value == 0:
-                        continue
-                    if _WEIGHTS[k] == target:
-                        comps[k] = value
-                    elif _WEIGHTS[k] < target:
-                        violations.append(f"[e{i},e{j}] has a component on e{k}")
-                constants[(i, j)] = comps
+        for (a, b), coords in zip(_PAIRS, coordinates):
+            i, j = _LABELS[a], _LABELS[b]
+            target = _WEIGHTS[i] + _WEIGHTS[j]
+            comps = {}
+            for k, value in zip(_LABELS, coords):
+                if value == 0:
+                    continue
+                if _WEIGHTS[k] == target:
+                    comps[k] = value
+                elif _WEIGHTS[k] < target:
+                    violations.append(f"[e{i},e{j}] has a component on e{k}")
+            constants[(i, j)] = comps
         d_raw = constants.get((3, 4), {}).get(7, Fraction(0))
         if d_raw != 0:
             constants[(3, 4)] = {7: Fraction(1)}

@@ -273,6 +273,11 @@ def test_arithmetic_fast_paths_match_full_constructor(f, g):
     _same(f + g, ref_add(f, g))
     _same(f - g, ref_sub(f, g))
     _same(f * g, ref_mul(f, g))
+    # a factor of one, shared or built by the full constructor, returns f
+    x = Polynomial.variable(CH, "x")
+    for one in (CH.one(), TWIN.one(), RatFunc(x, x)):
+        _same(f * one, ref_mul(f, one))
+        _same(one * f, ref_mul(one, f))
     _same(-f, ref_neg(f))
     if g.is_zero():
         with pytest.raises(DivisionByZero):

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flagrank import Chart, kernel_basis, rank_generic, solve_in_span
 from flagrank.errors import PoleAtPoint
 from flagrank import linalg
-from flagrank.linalg import CERTIFICATE_PRIME, Echelon, certified_rank, fraction_rank
+from flagrank.linalg import CERTIFICATE_PRIME, Echelon, certified_rank, fraction_rank, \
+    fraction_solve
 from util import rand_ratfunc, ref_div, ref_mul, ref_sub, sc, sparse_ratfuncs, vf
 
 CH = Chart("A", ("x", "y", "z"))
@@ -150,8 +151,6 @@ _grid = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2),
        st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=6))
-# five rows that took minutes to eliminate in their shuffled order
-@example(424997160, 3, 2, [(0, 0, 0), (1, -1, 2)])
 def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
     rng = random.Random(seed)
     base = []
@@ -160,16 +159,54 @@ def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
         factor = CH.var(rng.choice(CH.variables)) - rng.choice((-1, 0, 1)) \
             if rng.random() < 0.5 else CH.one()
         base.append([factor * rand_ratfunc(CH, rng) for _ in range(3)])
-    # extra rows are function combinations of the others: rank-deficient
-    rows = base + [
-        [sum((rand_ratfunc(CH, rng) * row[j] for row in base), CH.zero())
-         for j in range(3)]
-        for _ in range(extra)]
+    # extra rows are function combinations of the others, one coefficient
+    # per base row for every column: rank-deficient
+    rows = list(base)
+    for _ in range(extra):
+        coeffs = [rand_ratfunc(CH, rng) for _ in base]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, base)), CH.zero())
+                     for j in range(3)])
     rng.shuffle(rows)
     generic = rank_generic(rows)
+    assert generic <= independent
     for coords in points:
         p = CH.point(coords)
         assert _certified_or_pole(rows, p, generic) == _exact_rank_or_pole(rows, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_grid, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(_grid, min_size=n, max_size=n), max_size=3))))
+def test_fraction_solve_reconstructs_every_target(system):
+    columns, targets = system
+    n = len(columns)
+    if fraction_rank(columns) < n:
+        with pytest.raises(ValueError):
+            fraction_solve(columns, targets)
+        return
+    solved = fraction_solve(columns, targets)
+    assert len(solved) == len(targets)
+    for target, coords in zip(targets, solved):
+        assert [sum(c * col[i] for c, col in zip(coords, columns))
+                for i in range(n)] == target
+
+
+def test_rank_generic_inserts_small_rows_first():
+    # five full-rank rows that took minutes to eliminate in their shuffled
+    # order; the two large ones are never eliminated once the rest span
+    rng = random.Random(424997160)
+    base = []
+    for _ in range(3):
+        factor = CH.var(rng.choice(CH.variables)) - rng.choice((-1, 0, 1)) \
+            if rng.random() < 0.5 else CH.one()
+        base.append([factor * rand_ratfunc(CH, rng) for _ in range(3)])
+    rows = base + [
+        [sum((rand_ratfunc(CH, rng) * row[j] for row in base), CH.zero())
+         for j in range(3)]
+        for _ in range(2)]
+    rng.shuffle(rows)
+    assert rank_generic(rows) == 3
 
 
 def test_certified_rank_below_generic_rank():

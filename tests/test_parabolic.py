@@ -11,6 +11,7 @@ from flagrank import Chart, Distribution, FlagBranch, ParabolicFlag, PointClass,
     get_model, load_model, parabolic_flag, spans_equal, span_contains, \
     symbol_algebra_at, symbol_d_function, verify_flag_relations
 from flagrank.distribution import Distribution as Dist
+from flagrank.models import model_eq3, model_eq4
 from flagrank.errors import NotParabolic, NotParabolicNonDeg, RankUnexpected, \
     SingularDistribution
 from util import change_frame, rand_invertible, sc, vf
@@ -257,3 +258,19 @@ def test_report_serialization_shape():
     assert payload["equation_type"] is True
     assert payload["scan"]["verdict"] == "regular"
     assert len(payload["flag"]["strata"]) == 5
+
+
+# Parameters over 1 + w^2 (w is u3 + y*z in eq4) whose symbol frame brackets
+# took minutes to solve symbolically; the pointwise symbol needs only jets.
+@pytest.mark.parametrize("family, parameter, verdict, b2", [
+    ("eq4", "x*u1/(1+w^2)", Verdict.THEOREM2, False),
+    ("eq4", "(x^3*u1 - 2*u2^2*z + w^2*x)/(1+w^2)", Verdict.THEOREM2, False),
+    ("eq3", "(x^2*u1 + 3*z^3 - u2)/(1+z^2)", Verdict.THEOREM3, True),
+])
+def test_branch_on_rational_family_parameters(family, parameter, verdict, b2):
+    model = model_eq3 if family == "eq3" else model_eq4
+    report = branch_classify(model(parameter))
+    assert report.verdict is verdict
+    assert report.symbol_class is SymbolClass.G0
+    assert report.b2_integrable is b2
+    assert report.equation_type is (True if verdict is Verdict.THEOREM2 else None)
