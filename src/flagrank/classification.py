@@ -19,7 +19,7 @@ from .calculus import VectorField, coordinate_field, lie_bracket
 from .distribution import derived_flag, growth_at, square_root_subdistribution
 from .errors import ConsistencyError, NotGrowth356, PoleAtPoint, \
     SampleBudgetExhausted, SymmetryViolated
-from .linalg import Echelon, certified_rank, rank_generic, solve_in_span
+from .linalg import Echelon, certified_rank, rank_generic
 
 
 class PointClass(Enum):
@@ -108,19 +108,34 @@ def adapted_frame(dist):
 
 def bracket_form(dist, frame):
     """Z-components of [X_i, Y_j]; symmetry is asserted, never assumed."""
-    full = frame.full()
-    columns = [f.coefficients for f in full]
+    five = Echelon(dist.chart.dimension,
+                   [f.coefficients for f in frame.full()[:5]])
+    z_res = five.residual(frame.z.coefficients)
     values = {}
     for name_i, xi in (("1", frame.x1), ("2", frame.x2)):
         for name_j, yj in (("1", frame.y1), ("2", frame.y2)):
-            coords = solve_in_span(lie_bracket(xi, yj).coefficients, columns)
-            if coords is None:
-                raise ConsistencyError("bracket left the adapted full frame")
-            values[name_i + name_j] = coords[5]
+            values[name_i + name_j] = _residual_coordinate(
+                five, z_res, lie_bracket(xi, yj),
+                "bracket left the adapted full frame")
     if values["12"] != values["21"]:
         raise SymmetryViolated(
             f"a12 = {values['12'].render()} differs from a21 = {values['21'].render()}")
     return BracketForm(values["11"], values["12"], values["21"], values["22"], frame)
+
+
+def _residual_coordinate(echelon, last_residual, field, message):
+    """Coordinate c of ``field`` on the last field of a basis: the echelon's
+    rows and a field with residual ``last_residual``.  A field in the span has
+    residual c * ``last_residual``; otherwise ConsistencyError(message).
+    """
+    res = echelon.residual(field.coefficients)
+    k = next((i for i, e in enumerate(last_residual) if not e.is_zero()), None)
+    if k is None:
+        raise ConsistencyError(message)
+    c = res[k] / last_residual[k]
+    if any(r != c * e for r, e in zip(res, last_residual)):
+        raise ConsistencyError(message)
+    return c
 
 
 def transformed_frame(frame, y_scale=1, z_scale=1, basis=None):

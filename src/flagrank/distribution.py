@@ -7,6 +7,9 @@ basis happens to degenerate are still measured correctly, and a pole of any
 generator raises PoleAtPoint.  Every entry is evaluated exactly to a pair of
 integers; ``linalg.certified_pair_rank`` certifies the generic rank modulo a prime
 and falls back to exact ``fraction_rank`` elimination where it cannot.
+Generator lists hold each bracket once, up to sign (``bracket_span``,
+``derived_flag``): a bracket that is zero or ± an earlier generator changes
+no span, no reduced basis and no rank at a point.
 """
 
 from __future__ import annotations
@@ -106,12 +109,21 @@ def span_contains(fields, candidate):
 
 
 def spans_equal(fields_a, fields_b):
+    """True iff the lists span the same space; only ``fields_b`` is eliminated.
+
+    A field of ``fields_a`` outside it returns False at once.  The others'
+    coordinates in its reduced rows are their pivot-column entries, and the
+    spans are equal iff those rows have the rank of ``fields_b``.
+    """
     width = (fields_a or fields_b)[0].chart.dimension
-    ech_a = Echelon(width, [f.coefficients for f in fields_a])
     ech_b = Echelon(width, [f.coefficients for f in fields_b])
-    if ech_a.rank != ech_b.rank:
-        return False
-    return all(ech_a.contains(f.coefficients) for f in fields_b)
+    pivots = ech_b.pivot_columns()
+    coords = []
+    for f in fields_a:
+        if any(not e.is_zero() for e in ech_b.residual(f.coefficients)):
+            return False
+        coords.append([f.coefficients[c] for c in pivots])
+    return rank_generic(coords) == ech_b.rank
 
 
 def annihilator_frame(forms):
@@ -146,34 +158,34 @@ def combine(fields, coords):
 def derived_flag(dist):
     """Flag D, D + [D,D], ... until stabilization, with its growth vector.
 
-    Step k+1 spans step k together with brackets of the input frame against
-    every generator of step k.  Returned distributions carry reduced frames
-    but keep the full generator lists for pointwise evaluation.  Each step's
-    generator list is a prefix of the next one's (``bracket_span`` starts
-    from the frame, then the previous list), which ``growth_at`` relies on.
+    Semi-naive: step k+1 adds the brackets of the input frame with the
+    generators step k added; brackets with older ones are already in the list
+    up to sign, or zero.  Returned distributions carry reduced frames but keep
+    the full generator lists for pointwise evaluation.  Each step's list is a
+    prefix of the next one's, which ``growth_at`` relies on, and one
+    elimination inserts each generator once.
     """
     chart = dist.chart
-    dim = chart.dimension
-    gens = list(dist.frame)
-    basis = span_reduce(gens)
-    steps = [_flag_step(chart, basis, gens)]
-    ranks = [len(basis)]
-    while ranks[-1] < dim:
-        gens = bracket_span(dist.frame, gens)
-        basis = span_reduce(gens)
-        if len(basis) == ranks[-1]:
+    gens = added = list(dist.frame)
+    seen = set(gens)
+    ech = Echelon(chart.dimension)
+    steps, ranks = [], []
+    while True:
+        for g in added:
+            ech.add(g.coefficients)
+        if ranks and ech.rank == ranks[-1]:
             break
-        steps.append(_flag_step(chart, basis, gens))
-        ranks.append(len(basis))
+        step = Distribution(chart, [VectorField(chart, r) for r in ech.rows], gens)
+        # reduced echelon rows are independent, so the generic rank needs no
+        # elimination; growth_at certifies against it
+        step._rank = ech.rank
+        steps.append(step)
+        ranks.append(ech.rank)
+        if ech.rank == chart.dimension:
+            break
+        added = _new_brackets(dist.frame, added, seen)
+        gens = gens + added
     return steps, GrowthVector(ranks)
-
-
-def _flag_step(chart, basis, gens):
-    step = Distribution(chart, basis, generators=gens)
-    # reduced echelon rows are independent, so the generic rank needs no
-    # elimination; growth_at certifies against it
-    step._rank = len(basis)
-    return step
 
 
 def growth_at(dist, point, steps=None):
@@ -202,22 +214,35 @@ def frobenius_integrable(dist):
 
 
 def bracket_span(fields_a, fields_b):
-    """Generators of A + B + [sections of A, sections of B]."""
+    """Generators of A + B + [sections of A, sections of B].
+
+    Each unordered pair of fields (by identity) is bracketed once, and a
+    bracket that is zero or ± an earlier generator is dropped.
+    """
     gens = list(fields_a)
     seen = set(gens)
     for g in fields_b:
         if g not in seen:
             seen.add(g)
             gens.append(g)
+    return gens + _new_brackets(fields_a, fields_b, seen)
+
+
+def _new_brackets(fields_a, fields_b, seen):
+    """Nonzero brackets of each unordered pair not ± in ``seen``, added to it."""
+    done = set()
+    out = []
     for a in fields_a:
         for b in fields_b:
-            br = lie_bracket(a, b)
-            if br.is_zero():
+            if a is b or (id(b), id(a)) in done:
                 continue
-            if br not in seen:
-                seen.add(br)
-                gens.append(br)
-    return gens
+            done.add((id(a), id(b)))
+            br = lie_bracket(a, b)
+            if br.is_zero() or br in seen or -br in seen:
+                continue
+            seen.add(br)
+            out.append(br)
+    return out
 
 
 def cauchy_characteristic(dist):
@@ -269,11 +294,11 @@ def square_root_subdistribution(dist):
         raise NotRank35("need a rank-3 frame")
     f1, f2, f3 = dist.frame
     brackets = [lie_bracket(f1, f2), lie_bracket(f1, f3), lie_bracket(f2, f3)]
-    full = list(dist.frame) + brackets
-    if len(span_reduce(full)) != 5:
-        raise NotRank35("first derived span does not have rank 5")
     ech = dist.echelon()
     images = [ech.residual(b.coefficients) for b in brackets]
+    # the frame is independent, so D + [D,D] has rank 3 + rank(images)
+    if rank_generic(images) != 2:
+        raise NotRank35("first derived span does not have rank 5")
     kernel = kernel_basis([list(column) for column in zip(*images)])
     if len(kernel) != 1:
         raise ConsistencyError("wedge kernel is not one-dimensional")
@@ -286,7 +311,6 @@ def square_root_subdistribution(dist):
     result = Distribution(chart, fields)
     if result.generic_rank != 2:
         raise ConsistencyError("square-root plane has wrong rank")
-    ech_d = dist.echelon()
-    if not ech_d.contains(lie_bracket(fields[0], fields[1]).coefficients):
+    if not ech.contains(lie_bracket(fields[0], fields[1]).coefficients):
         raise ConsistencyError("square-root bracket escapes the distribution")
     return result

@@ -22,14 +22,13 @@ from functools import cached_property
 
 from .calculus import coordinate_field, lie_bracket
 from .classification import Classification, PointClass, \
-    _complete_with_field, sample_points
+    _complete_with_field, _residual_coordinate, sample_points
 from .distribution import Distribution, bracket_span, combine, derived_flag, \
     frobenius_integrable, growth_at, span_reduce, spans_equal
 from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
     NotParabolicNonDeg, PoleAtPoint, RankUnexpected, SampleBudgetExhausted, \
     SingularDistribution
-from .linalg import Echelon, certified_pair_rank, fraction_solve, kernel_basis, \
-    solve_in_span
+from .linalg import Echelon, certified_pair_rank, fraction_solve, kernel_basis
 
 
 class FlagBranch(Enum):
@@ -379,10 +378,10 @@ class Analysis(Classification):
                 raise ConsistencyError("degenerate-branch depth-4 stratum has wrong rank")
             ech4 = d4.echelon()
             line = _bracket_kernel([frame.x1, frame.x2], frame.y, ech4)
-            line = [f for f in line if not f.is_zero()]
-            if len(span_reduce(line)) != 1:
+            line = span_reduce([f for f in line if not f.is_zero()])
+            if len(line) != 1:
                 raise ConsistencyError("degenerate-branch line is not one-dimensional")
-            d1 = Distribution(chart, (span_reduce(line)[0],))
+            d1 = Distribution(chart, line)
         else:
             branch = FlagBranch.NONDEGENERATE
             radical = kernel_basis(form.matrix())
@@ -406,8 +405,9 @@ class Analysis(Classification):
         return tuple(verify_flag_relations(self.flag))
 
     @cached_property
-    def symbol_fields(self):
-        """Frame (F1..F5, F7) whose point values realize the symbol basis."""
+    def _symbol_basis(self):
+        """The symbol frame (F1..F5, F7), the echelon of F1..F5 and F7's
+        residual against it, nonzero iff the frame has generic rank 6."""
         dist, flag = self.dist, self.flag
         f1 = flag[1].frame[0]
         f2 = _complete_with_field([f1], list(flag[2].frame), 2)
@@ -420,10 +420,16 @@ class Analysis(Classification):
         f5 = lie_bracket(f2, f3)
         f7 = lie_bracket(f2, f5)
         fields = [f1, f2, f3, f4, f5, f7]
-        ech = Echelon(dist.chart.dimension, [f.coefficients for f in fields])
-        if ech.rank != 6:
+        ech = Echelon(dist.chart.dimension, [f.coefficients for f in fields[:5]])
+        residual = ech.residual(f7.coefficients)
+        if ech.rank != 5 or all(e.is_zero() for e in residual):
             raise ConsistencyError("symbol frame is generically degenerate")
-        return fields
+        return fields, ech, residual
+
+    @property
+    def symbol_fields(self):
+        """Frame (F1..F5, F7) whose point values realize the symbol basis."""
+        return self._symbol_basis[0]
 
     @cached_property
     def symbol_partials(self):
@@ -451,15 +457,12 @@ class Analysis(Classification):
     def d_function(self):
         """The e7-coordinate of [F3, F4]: the d-invariant before normalization.
 
-        This is the symbol stage's one symbolic solve; ``symbol_at`` works
-        from first jets at its point.
+        This is the symbol stage's one symbolic bracket, read off its residual
+        against F1..F5; ``symbol_at`` works from first jets at its point.
         """
-        fields = self.symbol_fields
-        coords = solve_in_span(lie_bracket(fields[2], fields[3]).coefficients,
-                               [f.coefficients for f in fields])
-        if coords is None:
-            raise ConsistencyError("[e3,e4] left the symbol frame span")
-        return coords[5]
+        fields, ech, residual = self._symbol_basis
+        return _residual_coordinate(ech, residual, lie_bracket(fields[2], fields[3]),
+                                   "[e3,e4] left the symbol frame span")
 
     def bracket_coordinates_at(self, point):
         """Coordinates of the 15 brackets [F_a, F_b], a < b, in the symbol frame.

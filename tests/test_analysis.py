@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from flagrank import branch_classify, catalog_list, classification, \
-    distribution, e_subdistribution, get_model, parabolic, parabolic_flag
+from flagrank import branch_classify, calculus, catalog_list, classification, \
+    distribution, e_subdistribution, get_model, linalg, parabolic, parabolic_flag
 from flagrank.cli import main
 
 PARABOLIC_TASKS = ("growth", "classify", "scan", "flag", "symbol", "branch")
@@ -76,3 +76,14 @@ def test_branch_after_flag_on_the_same_distribution():
         dist = get_model(name).distribution()
         parabolic_flag(dist)
         assert branch_classify(dist).to_json_dict() == fresh
+
+
+def test_eq6_branch_brackets_each_pair_once(monkeypatch):
+    # 175 brackets and 5 kernel solves when every ordered pair was bracketed
+    # and the form and d-function were solved in their frames
+    dist = get_model("eq6").distribution()
+    brackets = record_calls(monkeypatch, calculus, "lie_bracket")
+    solves = record_calls(monkeypatch, linalg, "solve_in_span")
+    parabolic.Analysis(dist).branch(20, 0)
+    assert len(brackets) <= 93
+    assert not solves

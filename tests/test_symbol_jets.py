@@ -17,10 +17,9 @@ from flagrank.classification import sample_points
 from flagrank.errors import NotGrowth356, NotParabolicNonDeg, PoleAtPoint
 from flagrank.models import model_eq3, model_eq4
 from flagrank.parabolic import Analysis
+from util import family_parameter
 
 PARABOLIC_NONDEG = ("eq5", "eq3_u2", "eq6", "eq4_z", "g1_flat")
-FAMILY_VARIABLES = {"eq3": ("x", "u1", "u2", "z"),
-                    "eq4": ("x", "u1", "u2", "z", "w")}
 MODELS = {"eq3": model_eq3, "eq4": model_eq4}
 
 
@@ -54,16 +53,6 @@ def assert_jets_match_symbolic(dist, n_points=2, seed=0):
         assert analysis.bracket_coordinates_at(p) == expected, p.render()
         checked += 1
     assert checked == n_points
-
-
-def family_parameter(rng, family, denominator):
-    """A parameter with monomials of degree 1, 2 and 3, over 1 + v^2 or not."""
-    variables = FAMILY_VARIABLES[family]
-    terms = [f"{rng.randint(1, 9) * rng.choice((-1, 1))}*"
-             + "*".join(rng.choice(variables) for _ in range(degree))
-             for degree in (1, 2, 3)]
-    text = " + ".join(terms)
-    return text if denominator is None else f"({text})/(1 + {denominator}^2)"
 
 
 @pytest.mark.parametrize("name", PARABOLIC_NONDEG)

@@ -59,6 +59,20 @@ def det(matrix):
     return total
 
 
+FAMILY_VARIABLES = {"eq3": ("x", "u1", "u2", "z"),
+                    "eq4": ("x", "u1", "u2", "z", "w")}
+
+
+def family_parameter(rng, family, denominator):
+    """A parameter with monomials of degree 1, 2 and 3, over 1 + v^2 or not."""
+    variables = FAMILY_VARIABLES[family]
+    terms = [f"{rng.randint(1, 9) * rng.choice((-1, 1))}*"
+             + "*".join(rng.choice(variables) for _ in range(degree))
+             for degree in (1, 2, 3)]
+    text = " + ".join(terms)
+    return text if denominator is None else f"({text})/(1 + {denominator}^2)"
+
+
 def rand_invertible(rng, n):
     while True:
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
