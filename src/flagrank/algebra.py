@@ -548,9 +548,14 @@ class RatFunc:
     Canonical form: gcd(num, den) = 1, den has positive leading coefficient,
     zero is 0/1.  Construction enforces this, so ``==`` is semantic equality.
     A zero result shares the polynomials of its chart's zero.
+
+    First partials are computed at most once per object: on first use,
+    ``partials()`` builds ``{coordinate index: partial}`` over the
+    coordinates that num or den contains and keeps it on the object.
+    Values are immutable, so it never goes stale.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_partials")
 
     def __init__(self, num, den):
         _require_same_chart(num, den)
@@ -577,6 +582,7 @@ class RatFunc:
                 den = -den
         self.num = num
         self.den = den
+        self._partials = None
 
     @classmethod
     def _new(cls, num, den):
@@ -584,6 +590,7 @@ class RatFunc:
         self = object.__new__(cls)
         self.num = num
         self.den = den
+        self._partials = None
         return self
 
     @classmethod
@@ -745,16 +752,30 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def derivative(self, var):
-        i = self.chart.index(var)
-        if not any(e[i] for e in self.num.terms) \
-                and not any(e[i] for e in self.den.terms):
-            return self.chart.zero()
+    def partials(self):
+        """``{coordinate index: first partial}``, one entry per coordinate
+        that num or den contains, in chart order; built once per object and
+        shared with every caller, so no caller may mutate it."""
+        partials = self._partials
+        if partials is None:
+            index = self.chart.index
+            partials = self._partials = {
+                index(var): self._partial(var)
+                for var in sorted(self.variables_used(), key=index)}
+        return partials
+
+    def _partial(self, var):
+        """The quotient rule: the one place a partial is computed."""
         dn = self.num.derivative(var)
         if self.den.is_one():
             return RatFunc._reduced(dn, self.den)
         dd = self.den.derivative(var)
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
+
+    def derivative(self, var):
+        i = self.chart.index(var)
+        partial = self.partials().get(i)
+        return self.chart.zero() if partial is None else partial
 
     def evaluate(self, point):
         return Fraction(*self.integer_pair(point))

@@ -1,4 +1,9 @@
-"""Vector fields, one-forms, and exact Lie-bracket calculus on a chart."""
+"""Vector fields, one-forms, and exact Lie-bracket calculus on a chart.
+
+``VectorField.apply(f)`` sums c_i * d_i f over the partials of f only, and
+each ``RatFunc`` computes its partials once per object, so a coefficient
+that many brackets share is differentiated once.
+"""
 
 from __future__ import annotations
 
@@ -81,11 +86,11 @@ class VectorField(_Covariant):
     def apply(self, f):
         """Directional derivative of a scalar function."""
         out = self.chart.zero()
-        for c, var in zip(self.coefficients, self.chart.variables):
+        coefficients = self.coefficients
+        for i, d in f.partials().items():
+            c = coefficients[i]
             if not c.is_zero():
-                d = f.derivative(var)
-                if not d.is_zero():
-                    out = out + c * d
+                out = out + c * d
         return out
 
 

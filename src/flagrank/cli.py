@@ -243,13 +243,13 @@ def _cmd_analyze(ns, out):
     else:
         tasks = [(t, ()) for t in DEFAULT_TASKS]
     if not tasks:
-        raise PreconditionError("no analysis tasks requested")
+        raise UsageError(f"--tasks {ns.tasks!r} names no task")
     unknown = [t for t, _ in tasks if t not in TASK_NAMES]
     if unknown:
         raise UsageError(f"unknown task {unknown[0]!r}; choose from "
                          + ", ".join(TASK_NAMES))
     if ns.samples < 1:
-        raise PreconditionError("--samples must be >= 1")
+        raise UsageError(f"--samples {ns.samples} must be >= 1")
     point = None
     if ns.point is not None:
         point = _parse_point_text(model.chart, ns.point)

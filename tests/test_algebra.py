@@ -327,6 +327,34 @@ def test_shared_zero_and_one():
     assert (sc(CH, "x") * TWIN.one()).chart == CH
 
 
+# --- partials memoised on each RatFunc against the quotient rule ---
+
+# two-term denominators that contain a variable, so the full quotient rule runs
+_curved = st.tuples(
+    _polys(),
+    st.dictionaries(_coords, st.integers(-4, 4), min_size=1, max_size=2).map(
+        lambda terms: Polynomial(CH, terms)).filter(lambda p: not p.is_constant()),
+).map(lambda pair: RatFunc(*pair))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_ratfuncs(CH), _curved))
+def test_memoised_partials_match_reference(f):
+    used = f.variables_used()
+    for var in CH.variables:
+        d = f.derivative(var)
+        _same(d, ref_derivative(f, var))
+        assert f.derivative(var) is d
+        if var in used:
+            assert f.partials()[CH.index(var)] is d
+        else:
+            assert d is CH.zero()
+    assert list(f.partials()) == sorted(CH.index(var) for var in used)
+    assert f.partials() is f.partials()
+    with pytest.raises(UnknownVariable):
+        f.derivative("w")
+
+
 def _canonical_constants(chart):
     unit = {(0,) * chart.dimension: 1}
     zero, one = chart.zero(), chart.one()

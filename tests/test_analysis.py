@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from flagrank import branch_classify, calculus, catalog_list, classification, \
-    distribution, e_subdistribution, get_model, linalg, parabolic, parabolic_flag
+from flagrank import algebra, branch_classify, calculus, catalog_list, \
+    classification, distribution, e_subdistribution, get_model, linalg, parabolic, \
+    parabolic_flag
 from flagrank.cli import main
 
 PARABOLIC_TASKS = ("growth", "classify", "scan", "flag", "symbol", "branch")
@@ -87,3 +88,19 @@ def test_eq6_branch_brackets_each_pair_once(monkeypatch):
     parabolic.Analysis(dist).branch(20, 0)
     assert len(brackets) <= 93
     assert not solves
+
+
+def test_eq6_branch_differentiates_each_coefficient_once(monkeypatch):
+    # 153 polynomial derivatives when VectorField.apply differentiated each
+    # coefficient by every coordinate in every bracket it took part in
+    dist = get_model("eq6").distribution()
+    calls = []
+    derivative = algebra.Polynomial.derivative
+
+    def counted(poly, var):
+        calls.append(var)
+        return derivative(poly, var)
+
+    monkeypatch.setattr(algebra.Polynomial, "derivative", counted)
+    parabolic.Analysis(dist).branch(20, 0)
+    assert len(calls) <= 48

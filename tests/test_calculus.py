@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from flagrank import Chart, OneForm, VectorField, coordinate_field, lie_bracket, pairing
+from flagrank import Chart, OneForm, Polynomial, RatFunc, VectorField, \
+    coordinate_field, lie_bracket, pairing
 from hypothesis import given, settings, strategies as st
 
 from flagrank.errors import ChartMismatch
-from util import rand_ratfunc, ref_lie_bracket, sc, sparse_ratfuncs, vf
+from util import rand_ratfunc, ref_add, ref_derivative, ref_lie_bracket, ref_mul, sc, \
+    sparse_ratfuncs, vf
 
 CH = Chart("A", ("x", "y", "z"))
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
@@ -103,3 +105,29 @@ _fields = st.lists(sparse_ratfuncs(CH, max_exponent=1), min_size=3, max_size=3).
 @given(_fields, _fields)
 def test_lie_bracket_matches_unshortcut_reference(x, y):
     assert lie_bracket(x, y) == ref_lie_bracket(x, y)
+
+
+def _ref_apply(field, f):
+    """sum_i X^i d_i f over every coordinate, with no partials kept."""
+    total = RatFunc(Polynomial.zero(CH), Polynomial.one(CH))
+    for c, var in zip(field.coefficients, CH.variables):
+        total = ref_add(total, ref_mul(c, ref_derivative(f, var)))
+    return total
+
+
+_coefficients = sparse_ratfuncs(CH, max_exponent=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coefficients, _coefficients, _coefficients, _coefficients)
+def test_brackets_over_shared_coefficients_match_reference(g, a, b, c):
+    # g is one object in several slots of several fields, so its partials,
+    # kept on first use, are read back by every later apply and bracket
+    x = VectorField(CH, [g, a, g])
+    y = VectorField(CH, [b, g, g])
+    z = VectorField(CH, [g, g, c])
+    for field in (x, y, z):
+        for f in (g, a, b, c):
+            assert field.apply(f) == _ref_apply(field, f)
+    for left, right in ((x, y), (y, x), (x, z), (z, y), (y, y)):
+        assert lie_bracket(left, right) == ref_lie_bracket(left, right)

@@ -116,6 +116,26 @@ def test_malformed_request_exits_2_before_any_analysis(monkeypatch, tasks, point
     assert text.startswith("error [UsageError]: ")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tasks", ",,"], "--tasks ',,' names no task"),
+    (["--tasks", " , "], "--tasks ' , ' names no task"),
+    (["--tasks", "growth", "--samples", "0"], "--samples 0 must be >= 1"),
+    (["--tasks", "growth", "--samples", "-1"], "--samples -1 must be >= 1"),
+])
+def test_empty_tasks_and_nonpositive_samples_exit_2(monkeypatch, flags, message):
+    def no_analysis(dist):
+        raise AssertionError("analysis started before the request was checked")
+
+    monkeypatch.setattr(cli, "Analysis", no_analysis)
+    argv = ["analyze", "--builtin", "eq5"] + flags
+    code, text = run_cli(argv + ["--format", "json"])
+    assert code == 2
+    assert json.loads(text)["error"] == {"type": "UsageError", "message": message}
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == f"error [UsageError]: {message}\n"
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def broken(analysis, request):
         raise RuntimeError("stage exploded")
