@@ -11,8 +11,13 @@ yield identical stored data, so equality and zero tests are exact.
 Most arithmetic in a bracket computation is on zeros, so zero and one are
 free: each chart holds one shared zero and one shared one, built on first
 use, and ``RatFunc`` operations return a zero operand (or the other operand)
-without building anything.  Values are shared, so no code may mutate
-``Polynomial.terms`` in place.
+without building anything.  Polynomial operands skip the fraction machinery:
+a ``Polynomial`` product with the constant one returns the other operand,
+sums over denominators of one add numerators with no gcd, a sum over one
+shared denominator runs one gcd of the numerators' sum against it, and no
+gcd runs against a denominator of one (it is one).  Each short path returns
+the canonical value the full computation builds.  Values are shared, so no
+code may mutate ``Polynomial.terms`` in place.
 """
 
 from __future__ import annotations
@@ -201,6 +206,10 @@ class Polynomial:
         if isinstance(other, int):
             return Polynomial(self.chart, {e: c * other for e, c in self.terms.items()})
         _require_same_chart(self, other)
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -656,20 +665,30 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        d = poly_gcd(self.den, other.den)
+        a, b = self.den, other.den
+        if a is b or a == b:
+            # over one denominator only the sum of numerators can share a
+            # factor with it, and none when it is one
+            t = self.num + other.num
+            if a.is_one() or not t.terms:
+                return RatFunc._reduced(t, a)
+            e = poly_gcd(t, a)
+            if e.is_one():
+                return RatFunc._reduced(t, a)
+            return RatFunc._reduced(t.divexact(e), a.divexact(e))
+        # a gcd against a denominator of one is one
+        d = a if a.is_one() else b if b.is_one() else poly_gcd(a, b)
         if d.is_one():
-            return RatFunc._reduced(
-                self.num * other.den + other.num * self.den,
-                self.den * other.den)
-        left = self.den.divexact(d)
-        right = other.den.divexact(d)
+            return RatFunc._reduced(self.num * b + other.num * a, a * b)
+        left = a.divexact(d)
+        right = b.divexact(d)
         t = self.num * right + other.num * left
         if t.is_zero():
             return self.chart.zero()
         e = poly_gcd(t, d)
         if e.is_one():
-            return RatFunc._reduced(t, left * other.den)
-        return RatFunc._reduced(t.divexact(e), left * other.den.divexact(e))
+            return RatFunc._reduced(t, left * b)
+        return RatFunc._reduced(t.divexact(e), left * b.divexact(e))
 
     __radd__ = __add__
 
@@ -706,8 +725,9 @@ class RatFunc:
             return other
         if other.is_one():
             return self
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
+        # a cross gcd against a denominator of one is one
+        g1 = other.den if other.den.is_one() else poly_gcd(self.num, other.den)
+        g2 = self.den if self.den.is_one() else poly_gcd(other.num, self.den)
         num = self.num.divexact(g1) * other.num.divexact(g2)
         den = self.den.divexact(g2) * other.den.divexact(g1)
         return RatFunc._reduced(num, den)
@@ -790,6 +810,8 @@ class RatFunc:
         if not self.num.terms:
             return 0, 1
         n, dn = point.homogenized(self.num)
+        if self.den.is_one():
+            return n, point.scale_power(dn)
         d, dd = point.homogenized(self.den)
         if d == 0:
             raise PoleAtPoint(f"denominator vanishes at {point.render()}")

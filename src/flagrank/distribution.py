@@ -5,8 +5,10 @@ are generic (over the function field).  Pointwise ranks are a separate
 evaluation pass over the full generator lists, so points where a reduced
 basis happens to degenerate are still measured correctly, and a pole of any
 generator raises PoleAtPoint.  Every entry is evaluated exactly to a pair of
-integers; ``linalg.certified_pair_rank`` certifies the generic rank modulo a prime
-and falls back to exact ``fraction_rank`` elimination where it cannot.
+integers.  The steps of a derived flag are nested prefixes of one generator
+list, so ``linalg.certified_prefix_ranks`` certifies every step's generic rank
+in one pass modulo a prime, and falls back to exact ``fraction_rank``
+elimination of a step's own rows where it cannot.
 Generator lists hold each bracket once, up to sign (``bracket_span``,
 ``derived_flag``): a bracket that is zero or ± an earlier generator changes
 no span, no reduced basis and no rank at a point.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from .calculus import VectorField, lie_bracket, pairing
 from .errors import ChartMismatch, ConsistencyError, DependentForms, NotRank35
-from .linalg import Echelon, certified_pair_rank, kernel_basis, rank_generic
+from .linalg import Echelon, certified_prefix_ranks, kernel_basis, rank_generic
 
 
 class Distribution:
@@ -191,15 +193,16 @@ def derived_flag(dist):
 def growth_at(dist, point, steps=None):
     """Pointwise ranks of the (generically computed) flag steps.
 
-    The generators of the last step are evaluated once; every step's rank is
-    certified on its prefix of those rows (see ``derived_flag``).
+    The generators of the last step are evaluated once; each step's
+    generators are a prefix of those rows (see ``derived_flag``), and one
+    modular pass over them certifies every step's rank.
     """
     if steps is None:
         steps, _ = derived_flag(dist)
     pairs = [[c.integer_pair(point) for c in g.coefficients]
              for g in steps[-1].generators]
-    return tuple(certified_pair_rank(pairs[:len(step.generators)], step.generic_rank)
-                 for step in steps)
+    return certified_prefix_ranks(
+        pairs, [(len(step.generators), step.generic_rank) for step in steps])
 
 
 def frobenius_integrable(dist):

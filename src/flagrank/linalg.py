@@ -6,8 +6,10 @@ space with a deterministic pivot score that prefers nonzero *constant*
 entries, then low-complexity entries, then earlier columns; this choice keeps
 computed frames polynomial (and valid at the origin) whenever possible.
 Generic ranks, kernels and span coordinates are all read off it.  Ranks at a
-point are certified modulo a prime, with exact ``Fraction`` elimination as
-the fallback; coordinates at a point come from one ``Fraction`` elimination.
+point are certified modulo a prime: one modular elimination certifies every
+nested prefix of a row list (the steps of a derived flag), and a prefix it
+cannot certify falls back to exact ``Fraction`` elimination of that prefix
+alone.  Coordinates at a point come from one ``Fraction`` elimination.
 """
 
 from __future__ import annotations
@@ -174,37 +176,61 @@ def certified_rank(rows, point, generic_rank):
 
 def certified_pair_rank(pairs, generic_rank):
     """``certified_rank`` of rows already evaluated to integer pairs (n, d)."""
-    if _rank_mod_p(pairs, generic_rank) == generic_rank:
-        return generic_rank
-    return fraction_rank([[Fraction(n, d) for n, d in row] for row in pairs])
+    return certified_prefix_ranks(pairs, [(len(pairs), generic_rank)])[0]
 
 
-def _rank_mod_p(pairs, target):
-    """Rank mod p of rows of integer pairs n/d; stops once it reaches ``target``.
+def certified_prefix_ranks(pairs, prefixes):
+    """``certified_pair_rank`` of each prefix ``pairs[:size]``, in one pass.
 
-    None when a row it reads has a denominator divisible by p.
+    ``prefixes`` lists (size, generic rank) pairs.  One elimination mod p
+    reads the rows in order, so its rank after k rows is the rank mod p of
+    the first k; it notes how many rows it had read when its rank first
+    reached each value.  A prefix is certified when its rank r was reached
+    within its own rows.  It falls back to ``fraction_rank`` of that prefix
+    alone when it was not: its rank mod p stays below r, or the pass met a
+    row with a denominator divisible by p first (the pass stops there).
     """
     p = CERTIFICATE_PRIME
+    target = max((rank for _, rank in prefixes), default=0)
+    limit = max((size for size, _ in prefixes), default=0)
+    reached = [0]  # reached[k]: rows read when the rank mod p reached k
     basis = []  # (pivot column, row scaled to 1 at the pivot)
-    for row in pairs:
-        v = []
-        for n, d in row:
-            d %= p
-            if not d:
-                return None
-            v.append(n * pow(d, -1, p) % p)
+    for read, row in enumerate(pairs[:limit], 1):
+        if len(basis) >= target:
+            break
+        v = _row_mod_p(row, p)
+        if v is None:
+            break
         for col, b in basis:
             c = v[col]
             if c:
-                v = [(x - c * y) % p for x, y in zip(v, b)]
+                v = [(x - c * y) % p if y else x for x, y in zip(v, b)]
         col = next((j for j, x in enumerate(v) if x), None)
         if col is None:
             continue
         inv = pow(v[col], -1, p)
-        basis.append((col, [x * inv % p for x in v]))
-        if len(basis) == target:
-            break
-    return len(basis)
+        basis.append((col, [x * inv % p if x else 0 for x in v]))
+        reached.append(read)
+    return tuple(
+        rank if rank < len(reached) and reached[rank] <= size
+        else fraction_rank([[Fraction(n, d) for n, d in row] for row in pairs[:size]])
+        for size, rank in prefixes)
+
+
+def _row_mod_p(row, p):
+    """Entries n/d of a row mod p; None when a nonzero entry's d is 0 mod p."""
+    v = []
+    for n, d in row:
+        if not n:
+            v.append(0)
+        elif d == 1:
+            v.append(n % p)
+        else:
+            d %= p
+            if not d:
+                return None
+            v.append(n * pow(d, -1, p) % p)
+    return v
 
 
 def kernel_basis(rows):

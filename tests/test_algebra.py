@@ -327,6 +327,73 @@ def test_shared_zero_and_one():
     assert (sc(CH, "x") * TWIN.one()).chart == CH
 
 
+# --- polynomial and shared-denominator operands against the full constructor ---
+
+_UNIT = (0, 0, 0)
+
+
+def _over_one(poly, shared):
+    """poly/1 over the shared one or over an equal but distinct one."""
+    return RatFunc._reduced(poly, Polynomial.one(CH) if shared
+                            else Polynomial(CH, {_UNIT: 1}))
+
+
+_polynomials = st.tuples(_polys(), st.booleans()).map(lambda pair: _over_one(*pair))
+_linear = st.dictionaries(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                          st.integers(1, 3), min_size=1, max_size=2).map(
+    lambda terms: Polynomial(CH, terms))
+
+
+@st.composite
+def _shared_denominator_pairs(draw):
+    """Reduced f, g over one non-constant denominator q*r (the same object or
+    an equal copy); g's numerator is free, cancels f's, or makes the sum
+    share the factor q with the denominator."""
+    q, r = draw(_linear), draw(_linear.map(lambda p: p + Polynomial.one(CH)))
+    den = (q * r).sign_normalized()
+    nonzero = _polys().filter(lambda p: not p.is_zero())
+    num = draw(nonzero)
+    other = draw(st.one_of(nonzero, st.just(-num), nonzero.map(lambda p: q * p - num)))
+    assume(not other.is_zero())
+    f = RatFunc(num, den)
+    g = RatFunc(other, den if draw(st.booleans()) else Polynomial(CH, dict(den.terms)))
+    assume(f.den == den and g.den == den)
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_polynomials, _polynomials),
+                 st.tuples(_polynomials, sparse_ratfuncs(CH)),
+                 st.tuples(sparse_ratfuncs(CH), _polynomials),
+                 _shared_denominator_pairs()))
+def test_polynomial_and_shared_denominator_paths_match_full_constructor(pair):
+    f, g = pair
+    _same(f + g, ref_add(f, g))
+    _same(f - g, ref_sub(f, g))
+    _same(g - f, ref_sub(g, f))
+    _same(f * g, ref_mul(f, g))
+    for one in (Polynomial.one(CH), Polynomial(CH, {_UNIT: 1})):
+        for product, operand in ((f.num * one, f.num), (one * g.num, g.num)):
+            assert product == operand and product.terms == operand.terms
+    if f.den.is_one():
+        # a denominator of one is not evaluated: the pair is (n, B^deg n)
+        point = CH.point((Fraction(1, 2), -3, Fraction(2, 3)))
+        n, d = f.integer_pair(point)
+        assert d == point.scale_power(f.num.total_degree())
+        assert Fraction(n, d) == _reference_value(f.num, point.coordinates)
+    assert _canonical_constants(CH)
+
+
+def test_shared_denominator_sums_reduce():
+    x = Polynomial.variable(CH, "x")
+    den = x * x - Polynomial.one(CH)
+    f, g = RatFunc(x, den), RatFunc(Polynomial.one(CH), den)
+    # x/(x^2 - 1) + 1/(x^2 - 1) = 1/(x - 1)
+    _same(f + g, RatFunc(Polynomial.one(CH), x - Polynomial.one(CH)))
+    _same(f + g, ref_add(f, g))
+    assert (f - f) is CH.zero() and (f + (-f)) is CH.zero()
+
+
 # --- partials memoised on each RatFunc against the quotient rule ---
 
 # two-term denominators that contain a variable, so the full quotient rule runs

@@ -104,3 +104,12 @@ def test_eq6_branch_differentiates_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(algebra.Polynomial, "derivative", counted)
     parabolic.Analysis(dist).branch(20, 0)
     assert len(calls) <= 48
+
+
+def test_eq6_branch_runs_few_gcds(monkeypatch):
+    # 324 gcds when sums over a denominator of one, or over two equal
+    # denominators, and products with a denominator of one each ran poly_gcd
+    dist = get_model("eq6").distribution()
+    gcds = record_calls(monkeypatch, algebra, "poly_gcd")
+    parabolic.Analysis(dist).branch(20, 0)
+    assert len(gcds) <= 9

@@ -148,11 +148,11 @@ def _certified_or_pole(m, point, generic):
 _grid = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2),
-       st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=6))
-def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
-    rng = random.Random(seed)
+def _rank_deficient_rows(rng, independent, extra, coefficient=rand_ratfunc):
+    """``independent`` rows of width 3 and ``extra`` combinations of them, shuffled.
+
+    ``coefficient(chart, rng)`` draws the combinations' coefficients.
+    """
     base = []
     for _ in range(independent):
         # a factor x_i - c makes the row vanish, and the rank drop, on a plane
@@ -163,15 +163,49 @@ def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
     # per base row for every column: rank-deficient
     rows = list(base)
     for _ in range(extra):
-        coeffs = [rand_ratfunc(CH, rng) for _ in base]
+        coeffs = [coefficient(CH, rng) for _ in base]
         rows.append([sum((c * row[j] for c, row in zip(coeffs, base)), CH.zero())
                      for j in range(3)])
     rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2),
+       st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=6))
+def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
+    rng = random.Random(seed)
+    rows = _rank_deficient_rows(rng, independent, extra)
     generic = rank_generic(rows)
     assert generic <= independent
     for coords in points:
         p = CH.point(coords)
         assert _certified_or_pole(rows, p, generic) == _exact_rank_or_pole(rows, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2),
+       st.lists(st.integers(0, 6), min_size=1, max_size=3),
+       st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=4))
+def test_one_pass_prefix_ranks_match_fraction_rank(seed, independent, extra, zeros,
+                                                   points):
+    rng = random.Random(seed)
+    # integer combinations: a prefix of function combinations alone can take
+    # minutes to rank generically (the poly_gcd cliff)
+    rows = _rank_deficient_rows(rng, independent, extra,
+                                lambda chart, draw: chart.const(draw.randint(-2, 2)))
+    for at in zeros:
+        rows.insert(min(at, len(rows)), [CH.zero()] * 3)
+    sizes = sorted(rng.sample(range(len(rows) + 1), rng.randint(1, 3)))
+    prefixes = [(size, rank_generic(rows[:size])) for size in sizes]
+    for coords in points:
+        p = CH.point(coords)
+        try:
+            pairs = [[f.integer_pair(p) for f in row] for row in rows]
+        except PoleAtPoint:
+            continue
+        assert linalg.certified_prefix_ranks(pairs, prefixes) == tuple(
+            fraction_rank(_evaluate(rows[:size], p)) for size, _ in prefixes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,6 +270,29 @@ def test_certified_rank_falls_back_on_denominator_divisible_by_p(monkeypatch):
     assert calls == [[[Fraction(1, p), 0], [0, 1]]]
     assert certified_rank(m, CH.point((p + 1, 0, 0)), 2) == 2
     assert len(calls) == 1
+
+
+def test_one_pass_falls_back_only_for_prefixes_past_a_denominator_divisible_by_p(
+        monkeypatch):
+    calls = _counting_fraction_rank(monkeypatch)
+    p = CERTIFICATE_PRIME
+    point = CH.point((p, 1, 0))
+    m = _matrix(CH, [[1, 0, 0], [0, 0, 0], ["y", 1, 0], [0, "x", "1/x"], [1, 1, 1]])
+    pairs = [[f.integer_pair(point) for f in row] for row in m]
+    assert pairs[3][2] == (1, p)
+    # only the last prefix holds the row over p: one fallback, on its rows
+    assert linalg.certified_prefix_ranks(pairs, [(1, 1), (3, 2), (4, 3)]) == (1, 2, 3)
+    assert calls == [_evaluate(m[:4], point)]
+    # every prefix that must read that row falls back once; the others do not
+    del calls[:]
+    assert linalg.certified_prefix_ranks(pairs, [(2, 1), (4, 3), (5, 3)]) == (1, 3, 3)
+    assert calls == [_evaluate(m[:4], point), _evaluate(m, point)]
+    # a prefix whose rank is reached before that row never reads it
+    del calls[:]
+    m = _matrix(CH, [[1, 0], [0, 1], ["1/x", 0]])
+    pairs = [[f.integer_pair(point) for f in row] for row in m]
+    assert linalg.certified_prefix_ranks(pairs, [(2, 2), (3, 2)]) == (2, 2)
+    assert not calls
 
 
 def test_certified_rank_falls_back_when_p_divides_a_minor(monkeypatch):
