@@ -18,6 +18,18 @@ shared denominator runs one gcd of the numerators' sum against it, and no
 gcd runs against a denominator of one (it is one).  Each short path returns
 the canonical value the full computation builds.  Values are shared, so no
 code may mutate ``Polynomial.terms`` in place.
+
+Each monomial is one packed ``int``, and ``Polynomial.terms`` maps these
+keys to coefficients.  On a chart of dimension n every field is
+``_WIDTH`` = 32 bits wide: variable i sits at shift (n - 1 - i) * 32 and the
+total degree at shift n * 32.  Integer ``<`` on keys is therefore the
+graded-lex order (total degree, then exponents left to right), a product's
+key is the sum of its factors' keys, and the constant monomial is key 0.
+The layout depends only on n, so equal but distinct charts pack alike.
+``Chart.pack`` and ``Chart.unpack`` are the one bridge to exponent tuples,
+and the public ``Polynomial(chart, {exponents: c})`` packs its keys.  A
+total degree must stay below 2^31, so no field can carry into the next:
+reaching the bound raises ``DegreeOverflow`` and never wraps.
 """
 
 from __future__ import annotations
@@ -25,17 +37,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd, lcm
 
-from .errors import ChartMismatch, DivisionByZero, PoleAtPoint, UnknownVariable
+from .errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
+    UnknownVariable
 
-
-def _grlex(exps):
-    return (sum(exps), exps)
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1
+# every exponent and total degree stays below the top bit of its field
+DEGREE_BOUND = 1 << (_WIDTH - 1)
 
 
 class Chart:
     """Named, ordered coordinate system."""
 
-    __slots__ = ("name", "variables", "_index", "_zero", "_one")
+    __slots__ = ("name", "variables", "_index", "_zero", "_one",
+                 "_shifts", "_units", "_degree_shift", "_guard", "_limit")
 
     def __init__(self, name, variables):
         variables = tuple(variables)
@@ -47,10 +62,38 @@ class Chart:
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
         self._zero = self._one = None
+        n = len(variables)
+        self._degree_shift = n * _WIDTH
+        self._shifts = tuple((n - 1 - i) * _WIDTH for i in range(n))
+        # adding a unit raises one exponent and the total degree by one
+        self._units = tuple((1 << s) | (1 << self._degree_shift) for s in self._shifts)
+        # the top bit of every field, degree included
+        self._guard = sum(DEGREE_BOUND << (i * _WIDTH) for i in range(n + 1))
+        # a key at or above this has total degree >= 2^31
+        self._limit = DEGREE_BOUND << self._degree_shift
 
     @property
     def dimension(self):
         return len(self.variables)
+
+    def pack(self, exps):
+        """The packed key of an exponent tuple."""
+        exps = tuple(exps)
+        if len(exps) != len(self.variables):
+            raise ValueError(
+                f"expected {len(self.variables)} exponents, got {len(exps)}")
+        if any(k < 0 for k in exps):
+            raise ValueError(f"negative exponent in {exps!r}")
+        key = sum(exps)
+        if key >= DEGREE_BOUND:
+            raise DegreeOverflow(f"total degree {key} reaches the bound 2^31")
+        for k in exps:
+            key = (key << _WIDTH) | k
+        return key
+
+    def unpack(self, key):
+        """The exponent tuple of a packed key."""
+        return tuple((key >> s) & _FIELD for s in self._shifts)
 
     def index(self, var):
         try:
@@ -68,13 +111,13 @@ class Chart:
     def zero(self):
         """The chart's shared zero function 0/1."""
         if self._zero is None:
-            self._zero = RatFunc._new(Polynomial(self, {}), Polynomial.one(self))
+            self._zero = RatFunc._new(Polynomial._packed(self, {}), Polynomial.one(self))
         return self._zero
 
     def one(self):
         """The chart's shared constant function 1/1."""
         if self._one is None:
-            one = Polynomial(self, {(0,) * len(self.variables): 1})
+            one = Polynomial._packed(self, {0: 1})
             self._one = RatFunc._new(one, one)
         return self._one
 
@@ -106,15 +149,25 @@ def _require_same_chart(a, b):
 class Polynomial:
     """Sparse integer-coefficient polynomial on a chart.
 
-    ``terms`` maps exponent tuples to nonzero int coefficients.  Instances are
-    never mutated in place: the chart's zero and one are shared.
+    ``terms`` maps packed monomial keys (see the module docstring) to nonzero
+    int coefficients.  Instances are never mutated in place: the chart's
+    zero and one are shared.
     """
 
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart, terms):
+        """``terms`` maps exponent tuples to coefficients; zeros are dropped."""
         self.chart = chart
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {chart.pack(e): c for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def _packed(cls, chart, terms):
+        """Internal constructor over packed keys; no coefficient may be zero."""
+        self = object.__new__(cls)
+        self.chart = chart
+        self.terms = terms
+        return self
 
     @staticmethod
     def zero(chart):
@@ -131,45 +184,38 @@ class Polynomial:
             return chart.zero().num
         if value == 1:
             return chart.one().num
-        return cls(chart, {(0,) * chart.dimension: value})
+        return cls._packed(chart, {0: value})
 
     @classmethod
     def variable(cls, chart, name):
-        e = [0] * chart.dimension
-        e[chart.index(name)] = 1
-        return cls(chart, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, chart, exps, coeff=1):
-        if coeff == 0:
-            return cls(chart, {})
-        return cls(chart, {tuple(exps): coeff})
+        return cls._packed(chart, {chart._units[chart.index(name)]: 1})
 
     def is_zero(self):
         return not self.terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and 0 in terms)
 
     def is_one(self):
         terms = self.terms
-        return len(terms) == 1 and terms.get((0,) * self.chart.dimension) == 1
+        return len(terms) == 1 and terms.get(0) == 1
 
     def constant_value(self):
         if self.is_zero():
             return 0
-        [(e, c)] = self.terms.items()
-        if sum(e) != 0:
+        [(key, c)] = self.terms.items()
+        if key:
             raise ValueError("not a constant polynomial")
         return c
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms, default=0) >> self.chart._degree_shift
 
     def leading(self):
-        """(exponents, coefficient) of the graded-lex leading term."""
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        """(packed key, coefficient) of the graded-lex leading term."""
+        key = max(self.terms)
+        return key, self.terms[key]
 
     def content(self):
         g = 0
@@ -178,48 +224,59 @@ class Polynomial:
         return g
 
     def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.chart.variables[i])
-        return used
+        # a field of the OR of all keys is nonzero iff some term uses it
+        used = 0
+        for key in self.terms:
+            used |= key
+        chart = self.chart
+        return {v for v, s in zip(chart.variables, chart._shifts) if (used >> s) & _FIELD}
 
     def __neg__(self):
-        return Polynomial(self.chart, {e: -c for e, c in self.terms.items()})
+        return Polynomial._packed(self.chart, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         _require_same_chart(self, other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return Polynomial(self.chart, out)
+                del out[k]
+        return Polynomial._packed(self.chart, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(self.chart, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return self.chart.zero().num
+            return Polynomial._packed(self.chart,
+                                      {k: c * other for k, c in self.terms.items()})
         _require_same_chart(self, other)
         if other.is_one():
             return self
         if self.is_one():
             return other
+        st, ot = self.terms, other.terms
+        if not st or not ot:
+            return self.chart.zero().num
+        # the leading keys add to the product's leading key
+        if max(st) + max(ot) >= self.chart._limit:
+            raise DegreeOverflow(
+                f"product of total degree {self.total_degree() + other.total_degree()} "
+                "reaches the bound 2^31")
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
+        for k1, c1 in st.items():
+            for k2, c2 in ot.items():
+                k = k1 + k2
+                s = out.get(k, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    out.pop(e, None)
-        return Polynomial(self.chart, out)
+                    del out[k]
+        return Polynomial._packed(self.chart, out)
 
     __rmul__ = __mul__
 
@@ -231,8 +288,10 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            # a square past the last bit is never used and may pass the bound
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -241,34 +300,32 @@ class Polynomial:
         return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.terms.items()))))
+        return hash(frozenset(self.terms.items()))
 
     def derivative(self, var):
         i = self.chart.index(var)
+        s, unit = self.chart._shifts[i], self.chart._units[i]
+        # lowering one exponent maps distinct keys to distinct keys
         out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1:]
-            s = out.get(e2, 0) + c * k
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return Polynomial(self.chart, out)
+        for k, c in self.terms.items():
+            a = (k >> s) & _FIELD
+            if a:
+                out[k - unit] = c * a
+        return Polynomial._packed(self.chart, out)
 
     def eval_var(self, i, value):
         """Substitute an integer for variable ``i``; stays a polynomial."""
+        s, unit = self.chart._shifts[i], self.chart._units[i]
         out = {}
-        for e, c in self.terms.items():
-            e2 = e[:i] + (0,) + e[i + 1:]
-            s = out.get(e2, 0) + c * value ** e[i]
-            if s:
-                out[e2] = s
+        for k, c in self.terms.items():
+            a = (k >> s) & _FIELD
+            k2 = k - a * unit
+            v = out.get(k2, 0) + c * value ** a
+            if v:
+                out[k2] = v
             else:
-                out.pop(e2, None)
-        return Polynomial(self.chart, out)
+                out.pop(k2, None)
+        return Polynomial._packed(self.chart, out)
 
     def max_norm(self):
         return max((abs(c) for c in self.terms.values()), default=0)
@@ -282,9 +339,10 @@ class Polynomial:
             else:
                 images.append(target.var(v))
         total = RatFunc.constant(target, 0)
-        for e, c in self.terms.items():
+        unpack = self.chart.unpack
+        for key, c in self.terms.items():
             term = RatFunc.constant(target, c)
-            for img, k in zip(images, e):
+            for img, k in zip(images, unpack(key)):
                 if k:
                     term = term * img ** k
             total = total + term
@@ -298,25 +356,28 @@ class Polynomial:
             return self
         out = {}
         rem = dict(self.terms)
-        le, lc = other.leading()
+        ot = other.terms
+        le = max(ot)
+        lc = ot[le]
+        guard = self.chart._guard
         while rem:
-            re = max(rem, key=_grlex)
-            rc = rem[re]
-            diff = tuple(a - b for a, b in zip(re, le))
-            if any(d < 0 for d in diff):
+            re = max(rem)
+            # every field of re - le is nonnegative iff no guard bit borrows
+            if ((re | guard) - le) & guard != guard:
                 raise ValueError("inexact polynomial division")
-            q, r = divmod(rc, lc)
+            q, r = divmod(rem[re], lc)
             if r:
                 raise ValueError("inexact polynomial division")
+            diff = re - le
             out[diff] = q
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(diff, e2))
-                s = rem.get(e, 0) - q * c2
+            for k2, c2 in ot.items():
+                k = diff + k2
+                s = rem.get(k, 0) - q * c2
                 if s:
-                    rem[e] = s
+                    rem[k] = s
                 else:
-                    rem.pop(e, None)
-        return Polynomial(self.chart, out)
+                    del rem[k]
+        return Polynomial._packed(self.chart, out)
 
     def sign_normalized(self):
         """Sign flipped if the graded-lex leading coefficient is negative."""
@@ -328,27 +389,29 @@ class Polynomial:
     # --- univariate view helpers (used by gcd) ---
 
     def _deg_in(self, i):
-        return max((e[i] for e in self.terms), default=0)
+        s = self.chart._shifts[i]
+        return max(((k >> s) & _FIELD for k in self.terms), default=0)
 
     def _univ_coeffs(self, i):
         """Coefficients by degree in variable ``i``, as polynomials without it."""
+        s, unit = self.chart._shifts[i], self.chart._units[i]
         out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            base = e[:i] + (0,) + e[i + 1:]
-            d = out.setdefault(k, {})
-            d[base] = d.get(base, 0) + c
-        return {k: Polynomial(self.chart, d) for k, d in out.items()}
+        for k, c in self.terms.items():
+            a = (k >> s) & _FIELD
+            # distinct keys of one degree in ``i`` stay distinct without it
+            out.setdefault(a, {})[k - a * unit] = c
+        return {a: Polynomial._packed(self.chart, d) for a, d in out.items()}
 
     def render(self):
         """Canonical text: graded-lex descending, explicit ``^`` and ``*``."""
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
+        variables, unpack = self.chart.variables, self.chart.unpack
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
             factors = []
-            for name, k in zip(self.chart.variables, e):
+            for name, k in zip(variables, unpack(key)):
                 if k == 1:
                     factors.append(name)
                 elif k > 1:
@@ -389,32 +452,32 @@ def poly_gcd(f, g):
     if f.is_constant() or g.is_constant():
         return Polynomial.constant(f.chart, _igcd(f.content(), g.content()))
     chart = f.chart
-    mono = tuple(min(a, b) for a, b in zip(_min_exponents(f), _min_exponents(g)))
-    if any(mono):
-        f = f.divexact(Polynomial.monomial(chart, mono))
-        g = g.divexact(Polynomial.monomial(chart, mono))
+    mono = _common_monomial(f, g)
+    if mono is not None:
+        f = f.divexact(mono)
+        g = g.divexact(mono)
     content = _igcd(f.content(), g.content())
     if content > 1:
-        f = Polynomial(chart, {e: c // content for e, c in f.terms.items()})
-        g = Polynomial(chart, {e: c // content for e, c in g.terms.items()})
+        f = Polynomial._packed(chart, {k: c // content for k, c in f.terms.items()})
+        g = Polynomial._packed(chart, {k: c // content for k, c in g.terms.items()})
     result = _heuristic_gcd(f, g)
     if result is None:
         result = _prs_entry(f, g)
-    if any(mono):
-        result = result * Polynomial.monomial(chart, mono)
+    if mono is not None:
+        result = result * mono
     if content > 1:
         result = result * content
     return result.sign_normalized()
 
 
-def _min_exponents(f):
-    mins = None
-    for e in f.terms:
-        if mins is None:
-            mins = list(e)
-        else:
-            mins = [min(a, b) for a, b in zip(mins, e)]
-    return tuple(mins)
+def _common_monomial(f, g):
+    """The largest monomial dividing every term of f and g; None if it is 1."""
+    chart = f.chart
+    key = 0
+    for s, unit in zip(chart._shifts, chart._units):
+        low = min((k >> s) & _FIELD for terms in (f.terms, g.terms) for k in terms)
+        key += low * unit
+    return Polynomial._packed(chart, {key: 1}) if key else None
 
 
 def _balanced_digit(value, xi):
@@ -427,7 +490,7 @@ def _balanced_digit(value, xi):
 def _strip_content(f):
     c = f.content()
     if c > 1:
-        return c, Polynomial(f.chart, {e: v // c for e, v in f.terms.items()})
+        return c, Polynomial._packed(f.chart, {k: v // c for k, v in f.terms.items()})
     return 1, f
 
 
@@ -471,24 +534,23 @@ def _heuristic_gcd(f, g, depth=0):
 def _xi_adic_lift(value, var, xi):
     """Rebuild a polynomial in ``var`` from its balanced xi-adic expansion."""
     chart = value.chart
+    unit = chart._units[var]
     total = Polynomial.zero(chart)
-    power = 0
+    step = 0
     while not value.is_zero():
-        digit_terms = {}
+        shifted = {}
         rest_terms = {}
-        for e, c in value.terms.items():
+        for k, c in value.terms.items():
             d = _balanced_digit(c, xi)
             if d:
-                digit_terms[e] = d
+                shifted[k + step] = d
             r = (c - d) // xi
             if r:
-                rest_terms[e] = r
-        if digit_terms:
-            shifted = {e[:var] + (e[var] + power,) + e[var + 1:]: c
-                       for e, c in digit_terms.items()}
-            total = total + Polynomial(chart, shifted)
-        value = Polynomial(chart, rest_terms)
-        power += 1
+                rest_terms[k] = r
+        if shifted:
+            total = total + Polynomial._packed(chart, shifted)
+        value = Polynomial._packed(chart, rest_terms)
+        step += unit
     return total
 
 
@@ -521,9 +583,7 @@ def _univ_content_primitive(f, v):
 
 
 def _v_power(chart, v, k):
-    e = [0] * chart.dimension
-    e[v] = k
-    return Polynomial.monomial(chart, e)
+    return Polynomial._packed(chart, {k * chart._units[v]: 1})
 
 
 def _pseudo_rem(a, b, v):
@@ -579,7 +639,7 @@ class RatFunc:
             if d < 0:
                 g = -g
             if g != 1:
-                num = Polynomial(num.chart, {e: c // g for e, c in num.terms.items()})
+                num = Polynomial._packed(num.chart, {k: c // g for k, c in num.terms.items()})
                 den = Polynomial.constant(num.chart, d // g)
         else:
             g = poly_gcd(num, den)
@@ -628,10 +688,11 @@ class RatFunc:
         return self.num.chart
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        num, den = self.num.terms, self.den.terms
+        return len(num) == 1 and len(den) == 1 and num.get(0) == 1 and den.get(0) == 1
 
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
@@ -843,11 +904,12 @@ class PointQ:
     """A point of a chart with exact rational coordinates.
 
     For integer evaluation the point keeps its common denominator B, the
-    integers A_i = B * (coordinate i), and power tables [1, a, a^2, ...] of
-    each A_i and of B, grown on demand.
+    integers A_i = B * (coordinate i), power tables [1, a, a^2, ...] of each
+    A_i and of B, grown on demand, and the value A^e of each monomial key it
+    has evaluated, computed on first use and kept for the point's lifetime.
     """
 
-    __slots__ = ("chart", "coordinates", "_powers", "_scale_powers")
+    __slots__ = ("chart", "coordinates", "_powers", "_scale_powers", "_monomials")
 
     def __init__(self, chart, coordinates):
         coordinates = tuple(Fraction(c) for c in coordinates)
@@ -860,6 +922,7 @@ class PointQ:
         self._powers = tuple([1, c.numerator * (scale // c.denominator)]
                              for c in coordinates)
         self._scale_powers = [1, scale]
+        self._monomials = {}
 
     def scale_power(self, k):
         """B^k for the common denominator B of the coordinates."""
@@ -869,28 +932,41 @@ class PointQ:
         """``(B^d * poly(point), d)``, an integer and the total degree d.
 
         Each term c * x^e contributes c * A^e * B^(d - |e|), so no fraction
-        is formed.
+        is formed; A^e comes from the point's monomial values.
         """
-        powers = self._powers
-        values = []
-        degree = 0
-        for e, c in poly.terms.items():
-            for table, k in zip(powers, e):
-                if k:
-                    try:
-                        c *= table[k]
-                    except IndexError:
-                        c *= _power(table, k)
-            size = sum(e)
-            if size > degree:
-                degree = size
-            values.append((c, size))
-        if self._scale_powers[1] == 1:
-            return sum(c for c, _ in values), degree
+        terms = poly.terms
+        if not terms:
+            return 0, 0
+        monomials = self._monomials
+        shift = self.chart._degree_shift
+        degree = max(terms) >> shift
         total = 0
-        for c, size in values:
-            total += c * self.scale_power(degree - size)
+        if self._scale_powers[1] == 1:
+            for k, c in terms.items():
+                v = monomials.get(k)
+                if v is None:
+                    v = self._monomial(k)
+                total += c * v
+            return total, degree
+        scale = self._scale_powers
+        _power(scale, degree)
+        for k, c in terms.items():
+            v = monomials.get(k)
+            if v is None:
+                v = self._monomial(k)
+            if v:
+                total += c * v * scale[degree - (k >> shift)]
         return total, degree
+
+    def _monomial(self, key):
+        """A^e for the monomial ``key``; the one place it is computed."""
+        value = 1
+        for table, s in zip(self._powers, self.chart._shifts):
+            k = (key >> s) & _FIELD
+            if k:
+                value *= _power(table, k)
+        self._monomials[key] = value
+        return value
 
     def render(self):
         return "(" + ", ".join(_render_fraction(c) for c in self.coordinates) + ")"

@@ -199,7 +199,7 @@ def growth_at(dist, point, steps=None):
     """
     if steps is None:
         steps, _ = derived_flag(dist)
-    pairs = [[c.integer_pair(point) for c in g.coefficients]
+    pairs = [[c.integer_pair(point) if c.num.terms else (0, 1) for c in g.coefficients]
              for g in steps[-1].generators]
     return certified_prefix_ranks(
         pairs, [(len(step.generators), step.generic_rank) for step in steps])

@@ -2,7 +2,9 @@
 
 One statement per line, ``#`` comments.  ``@var`` is a coordinate vector
 field, ``d(var)`` a coordinate differential; expressions combine rationals,
-chart variables, ``+ - * /`` and integer ``^`` powers.  Distributions are
+chart variables, ``+ - * /`` and integer ``^`` powers (below 2^31 in
+magnitude; a negative power of zero is a ``TypeMismatch``, like a division
+by zero).  Distributions are
 declared as ``span(...)`` of fields or ``ann(...)`` of one-forms; the latter
 is realized by an exact kernel computation.  Every error carries the origin
 plus line and column.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import Chart, PointQ, RatFunc
+from .algebra import DEGREE_BOUND, Chart, PointQ, RatFunc
 from .calculus import OneForm, VectorField, coordinate_field, coordinate_form
 from .distribution import Distribution, annihilator_frame
 from .errors import ArityError, DegenerateFrame, DependentForms, DuplicateName, \
@@ -366,7 +368,10 @@ class _Parser:
                 self.next()
                 sign = -1
             exp = self.expect("number", "an integer exponent")
-            return Power(base, sign * int(exp.text), caret.line, caret.col)
+            value = int(exp.text)
+            if value >= DEGREE_BOUND:
+                self.error(f"exponent {value} is too large: powers stay below 2^31", exp)
+            return Power(base, sign * value, caret.line, caret.col)
         return base
 
     def parse_atom(self):
@@ -590,6 +595,8 @@ class _Elaborator:
             base = self.eval_expr(node.base)
             if not isinstance(base, RatFunc):
                 self.fail(TypeMismatch, "powers apply to scalar expressions only", node)
+            if node.exponent < 0 and base.is_zero():
+                self.fail(TypeMismatch, "division by the zero function", node)
             return base ** node.exponent
         if isinstance(node, BinOp):
             return self.eval_binop(node)

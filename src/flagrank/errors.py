@@ -76,6 +76,10 @@ class SampleBudgetExhausted(PreconditionError):
     """The seeded point sampler ran out of retries."""
 
 
+class DegreeOverflow(PreconditionError):
+    """A polynomial's total degree would reach 2^31, the packed-monomial bound."""
+
+
 class LiftPreconditionFailed(PreconditionError):
     """The rank-1 / rank-3 pair fails the conditions required for lifting."""
 

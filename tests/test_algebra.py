@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flagrank import Chart, Polynomial, RatFunc, catalog_list, cli
 from flagrank.algebra import _heuristic_gcd, _prs_entry, poly_gcd
-from flagrank.errors import ChartMismatch, DivisionByZero, PoleAtPoint, UnknownVariable
-from util import ref_add, ref_derivative, ref_div, ref_mul, ref_neg, ref_sub, sc, \
-    sparse_ratfuncs
+from flagrank.errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
+    PreconditionError, UnknownVariable
+from util import grlex, ref_add, ref_derivative, ref_div, ref_mul, ref_neg, ref_sub, sc, \
+    sparse_ratfuncs, tuple_add, tuple_derivative, tuple_divexact, tuple_eval_var, \
+    tuple_leading, tuple_mul, tuple_render, tuple_total_degree, tuple_univ_coeffs, unpacked
 
 CH = Chart("A", ("x", "y", "z"))
 CH6 = Chart("B", ("u1", "u2", "u3", "x", "y", "z"))
@@ -191,7 +193,7 @@ def test_canonical_uniqueness_random(f, g):
 def _reference_value(poly, coords):
     """Term-by-term Fraction evaluation: the oracle for integer evaluation."""
     total = Fraction(0)
-    for e, c in poly.terms.items():
+    for e, c in unpacked(poly).items():
         term = Fraction(c)
         for v, k in zip(coords, e):
             term *= Fraction(v) ** k
@@ -208,18 +210,25 @@ def _high_polys():
         lambda terms: Polynomial(CH, terms))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_high_polys(), _high_polys().filter(lambda p: not p.is_zero()),
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_high_polys(), _high_polys().filter(lambda p: not p.is_zero())),
+                min_size=1, max_size=5),
        st.tuples(_fractions, _fractions, _fractions))
-def test_integer_evaluation_matches_fraction_reference(num, den, coords):
-    f = RatFunc(num, den)
+def test_integer_evaluation_matches_fraction_reference(pairs, coords):
+    # one point evaluates every function, so later ones read monomial
+    # values that earlier ones stored; a fresh point starts empty
     p = CH.point(coords)
-    reference_den = _reference_value(f.den, p.coordinates)
-    if reference_den == 0:
-        with pytest.raises(PoleAtPoint):
-            f.evaluate(p)
-    else:
-        assert f.evaluate(p) == _reference_value(f.num, p.coordinates) / reference_den
+    for num, den in pairs:
+        f = RatFunc(num, den)
+        fresh = CH.point(coords)
+        reference_den = _reference_value(f.den, p.coordinates)
+        if reference_den == 0:
+            for point in (p, fresh):
+                with pytest.raises(PoleAtPoint):
+                    f.evaluate(point)
+        else:
+            value = _reference_value(f.num, p.coordinates) / reference_den
+            assert f.evaluate(p) == f.evaluate(fresh) == value
 
 
 def test_evaluate_pole_at_rational_point():
@@ -356,7 +365,7 @@ def _shared_denominator_pairs(draw):
     other = draw(st.one_of(nonzero, st.just(-num), nonzero.map(lambda p: q * p - num)))
     assume(not other.is_zero())
     f = RatFunc(num, den)
-    g = RatFunc(other, den if draw(st.booleans()) else Polynomial(CH, dict(den.terms)))
+    g = RatFunc(other, den if draw(st.booleans()) else Polynomial(CH, unpacked(den)))
     assume(f.den == den and g.den == den)
     return f, g
 
@@ -423,7 +432,7 @@ def test_memoised_partials_match_reference(f):
 
 
 def _canonical_constants(chart):
-    unit = {(0,) * chart.dimension: 1}
+    unit = {chart.pack((0,) * chart.dimension): 1}
     zero, one = chart.zero(), chart.one()
     return (zero.num.terms, zero.den.terms, one.num.terms, one.den.terms) == \
         ({}, unit, unit, unit)
@@ -447,3 +456,152 @@ def test_shared_constants_survive_every_builtin_analysis(monkeypatch):
     used = [chart for chart in charts if chart._zero is not None]
     assert len(used) >= len(catalog_list())
     assert all(_canonical_constants(chart) for chart in used)
+
+
+# --- packed monomial keys against the tuple-keyed reference ---
+
+_BOUND = 2 ** 31
+# exponents up to 2^29 keep every total degree of three below 2^31, and the
+# small ones make equal degrees (the lexicographic tie-break) common
+_exponents = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2 ** 29))] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_exponents, min_size=1, max_size=8))
+def test_pack_round_trips_and_orders_keys_as_grlex(exps):
+    for e in exps + [(_BOUND - 1, 0, 0), (0, 0, _BOUND - 1), (0, 0, 0)]:
+        assert CH.unpack(CH.pack(e)) == e
+        # equal but distinct charts pack alike
+        assert TWIN.pack(e) == CH.pack(e)
+    assert sorted(exps, key=CH.pack) == sorted(exps, key=grlex)
+
+
+def test_pack_rejects_exponents_outside_the_bound():
+    with pytest.raises(DegreeOverflow):
+        CH.pack((_BOUND, 0, 0))
+    with pytest.raises(DegreeOverflow):
+        CH.pack((_BOUND // 2, 0, _BOUND // 2))
+    with pytest.raises(DegreeOverflow):
+        Polynomial(CH, {(1, _BOUND - 1, 0): 1})
+    with pytest.raises(ValueError):
+        CH.pack((1, -1, 0))
+    with pytest.raises(ValueError):
+        CH.pack((1, 0))
+    assert issubclass(DegreeOverflow, PreconditionError)
+
+
+def _tuple_polys(max_exponent=3, max_terms=4):
+    exps = st.tuples(*[st.integers(0, max_exponent)] * 3)
+    return st.dictionaries(exps, st.integers(-5, 5), max_size=max_terms)
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tuple_polys(), _tuple_polys(), st.sampled_from((-2, 0, 1, 3)))
+def test_packed_kernel_matches_tuple_reference(a_terms, b_terms, value):
+    a, b = Polynomial(CH, a_terms), Polynomial(CH, b_terms)
+    ra, rb = _nonzero(a_terms), _nonzero(b_terms)
+    assert unpacked(a) == ra
+    results = [a + b, a - b, a * b, -a, a * value]
+    assert [unpacked(p) for p in results] == [
+        tuple_add(ra, rb), tuple_add(ra, {e: -c for e, c in rb.items()}),
+        tuple_mul(ra, rb), {e: -c for e, c in ra.items()},
+        _nonzero({e: c * value for e, c in ra.items()})]
+    assert a.total_degree() == tuple_total_degree(ra)
+    assert a.render() == tuple_render(CH.variables, ra)
+    if ra:
+        key, c = a.leading()
+        assert (CH.unpack(key), c) == tuple_leading(ra)
+    for i, var in enumerate(CH.variables):
+        results += [a.derivative(var), a.eval_var(i, value)]
+        assert unpacked(a.derivative(var)) == tuple_derivative(ra, i)
+        assert unpacked(a.eval_var(i, value)) == tuple_eval_var(ra, i, value)
+        coeffs = a._univ_coeffs(i)
+        assert {k: unpacked(p) for k, p in coeffs.items()} == tuple_univ_coeffs(ra, i)
+        results += list(coeffs.values())
+        assert a._deg_in(i) == max((e[i] for e in ra), default=0)
+    assert all(0 not in p.terms.values() for p in results)
+    assert a.variables_used() == {v for e in ra for v, k in zip(CH.variables, e) if k}
+    # equality and hashing across equal but distinct charts
+    twin = Polynomial(TWIN, a_terms)
+    assert twin == a and hash(twin) == hash(a)
+    assert (a == b) == (ra == rb)
+    if ra == rb:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tuple_polys(max_terms=3), _tuple_polys(max_terms=3).filter(_nonzero))
+def test_divexact_matches_tuple_reference_on_exact_quotients(q_terms, b_terms):
+    q, b = Polynomial(CH, q_terms), Polynomial(CH, b_terms)
+    product = q * b
+    assert product.divexact(b) == q
+    assert unpacked(product.divexact(b)) == tuple_divexact(unpacked(product), unpacked(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponents, st.integers(0, 2), st.integers(1, 4), st.integers(-3, 3).filter(bool))
+def test_divexact_guard_bits_catch_one_negative_exponent(le, i, short, coeff):
+    # the dividend's leading monomial has degree >= the divisor's, so only
+    # the guard bit of variable i can show that the quotient is not polynomial
+    le = tuple(min(k, 2 ** 20) for k in le)
+    re = list(le)
+    re[i] = max(le[i] - short, 0)
+    assume(re[i] < le[i])
+    re[(i + 1) % 3] += short + 1
+    re = tuple(re)
+    # one term each: a borrowed quotient key would leave no remainder
+    dividend = Polynomial(CH, {re: coeff})
+    divisor = Polynomial(CH, {le: 1})
+    assert sum(re) >= sum(le)
+    with pytest.raises(ValueError):
+        dividend.divexact(divisor)
+    with pytest.raises(ValueError):
+        tuple_divexact(unpacked(dividend), unpacked(divisor))
+    # and one exact case on the same monomials
+    exact = Polynomial(CH, {tuple(a + b for a, b in zip(re, le)): coeff})
+    assert unpacked(exact.divexact(divisor)) == {re: coeff}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tuple_polys(max_exponent=2, max_terms=3).filter(_nonzero),
+       _tuple_polys(max_exponent=2, max_terms=3).filter(_nonzero),
+       _tuple_polys(max_exponent=2, max_terms=3).filter(_nonzero))
+def test_poly_gcd_divides_per_tuple_reference(h_terms, a_terms, b_terms):
+    h = Polynomial(CH, h_terms)
+    f, g = h * Polynomial(CH, a_terms), h * Polynomial(CH, b_terms)
+    d = unpacked(poly_gcd(f, g))
+    # the gcd divides both operands, h divides it, and it leads positive
+    tuple_divexact(unpacked(f), d)
+    tuple_divexact(unpacked(g), d)
+    tuple_divexact(d, unpacked(h))
+    assert tuple_leading(d)[1] > 0
+    assert poly_gcd(Polynomial(TWIN, unpacked(f)), Polynomial(TWIN, unpacked(g))) == \
+        poly_gcd(f, g)
+
+
+def test_degree_bound_raises_and_never_wraps():
+    x = Polynomial.variable(CH, "x")
+    y = Polynomial.variable(CH, "y")
+    top = x ** (_BOUND - 1)
+    assert unpacked(top) == {(_BOUND - 1, 0, 0): 1}
+    assert top.total_degree() == _BOUND - 1
+    for factor in (x, y, top, x + Polynomial.one(CH)):
+        with pytest.raises(DegreeOverflow):
+            top * factor
+    with pytest.raises(DegreeOverflow):
+        x ** _BOUND
+    with pytest.raises(DegreeOverflow):
+        (x * y) ** (_BOUND // 2)
+    f = sc(CH, "x") ** (_BOUND - 1)
+    assert f.num == top
+    with pytest.raises(DegreeOverflow):
+        f * sc(CH, "x")
+    with pytest.raises(DegreeOverflow):
+        f / sc(CH, "1/x")
+    # lowering stays inside the bound
+    assert unpacked(top.derivative("x")) == {(_BOUND - 2, 0, 0): _BOUND - 1}
+    assert top.divexact(x ** (_BOUND - 2)) == x

@@ -113,3 +113,28 @@ def test_eq6_branch_runs_few_gcds(monkeypatch):
     gcds = record_calls(monkeypatch, algebra, "poly_gcd")
     parabolic.Analysis(dist).branch(20, 0)
     assert len(gcds) <= 9
+
+
+def test_eq6_scan_evaluates_each_monomial_once_per_point(monkeypatch):
+    # growth, frame rank and form values at a point all read its monomial
+    # values; each (point, monomial) pair is computed once
+    dist = get_model("eq6").distribution()
+    computed = []
+    reads = []
+    monomial = algebra.PointQ._monomial
+    homogenized = algebra.PointQ.homogenized
+
+    def counted_monomial(point, key):
+        computed.append((point.coordinates, key))
+        return monomial(point, key)
+
+    def counted_homogenized(point, poly):
+        reads.append(len(poly.terms))
+        return homogenized(point, poly)
+
+    monkeypatch.setattr(algebra.PointQ, "_monomial", counted_monomial)
+    monkeypatch.setattr(algebra.PointQ, "homogenized", counted_homogenized)
+    scan = parabolic.Analysis(dist).scan(20, 0)
+    assert len(scan.samples) == 20
+    assert computed and len(computed) == len(set(computed))
+    assert sum(reads) > 2 * len(computed)

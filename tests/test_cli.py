@@ -280,3 +280,52 @@ def test_module_entrypoint_subprocess():
         env=dict(os.environ, PYTHONPATH=path))
     assert result.stderr == ""
     assert "j21" in result.stdout
+
+
+def test_package_entrypoint_subprocess():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "flagrank", "models", "list"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert result.stderr == ""
+    assert result.stdout == run_cli(["models", "list"])[1]
+
+
+@pytest.mark.parametrize("expression, error, position", [
+    # a negative power of zero is reported like a division by zero
+    ("1/(y - y)", "TypeMismatch", "2:17"),
+    ("(y - y)^-1", "TypeMismatch", "2:23"),
+    ("0^-2", "TypeMismatch", "2:17"),
+    # an exponent must stay below 2^31, the total-degree bound
+    ("y^2147483648", "ModelSyntaxError", "2:18"),
+    ("y^-2147483648", "ModelSyntaxError", "2:19"),
+])
+def test_bad_powers_are_positioned_model_errors(tmp_path, expression, error, position):
+    path = tmp_path / "power.dist"
+    path.write_text(f"chart M(x, y)\nfield X = @x + {expression}*@y\n",
+                    encoding="utf-8")
+    code, text = run_cli(["analyze", str(path), "--format", "json"])
+    assert code == 2
+    report = json.loads(text)["error"]
+    assert report["type"] == error
+    assert report["message"].startswith(f"{path}:{position}: ")
+
+
+def test_degree_overflow_during_analysis_exits_3(tmp_path):
+    # the model loads; the bracket [A, B] multiplies x^(2^31 - 1) by x
+    path = tmp_path / "overflow.dist"
+    path.write_text(
+        "chart M(x, y, z, u, v, w)\n"
+        "field A = @x + x^2147483647*@y\n"
+        "field B = @z + x*y*@u\n"
+        "field C = @w\n"
+        "dist D = span(A, B, C)\n",
+        encoding="utf-8")
+    code, text = run_cli(["analyze", str(path), "--tasks", "growth", "--format", "json"])
+    assert code == 3
+    report = json.loads(text)
+    assert set(report) == {"schema", "error"}
+    assert report["error"]["type"] == "DegreeOverflow"
+    assert "2^31" in report["error"]["message"]

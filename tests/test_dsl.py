@@ -147,6 +147,32 @@ def test_scalar_division_by_zero_function():
         parse_scalar(chart, "x / (y - y)")
 
 
+def test_negative_power_of_zero_is_a_division_by_zero():
+    source = "chart M(x, y)\nfield X = @x + {}*@y\n"
+    with pytest.raises(TypeMismatch) as division:
+        load_model(ModelSource(source.format("1/(y - y)"), "m.dist"))
+    with pytest.raises(TypeMismatch) as power:
+        load_model(ModelSource(source.format("(y - y)^-1"), "m.dist"))
+    assert power.value.message == division.value.message
+    # the position is the ``^``, as the division's is the ``/``
+    assert (division.value.line, division.value.col) == (2, 17)
+    assert (power.value.line, power.value.col) == (2, 23)
+    chart = Chart("M", ("x", "y"))
+    assert parse_scalar(chart, "(y - y)^0") == 1
+    assert parse_scalar(chart, "(y - y)^2").is_zero()
+
+
+def test_exponents_stay_below_the_degree_bound():
+    chart = Chart("M", ("x", "y"))
+    for text, col in (("x^2147483648", 3), ("x^-2147483648", 4), ("2^99999999999", 3)):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_scalar(chart, text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert "2^31" in err.value.message
+    f = parse_scalar(chart, "x^2147483647")
+    assert f.num.total_degree() == 2 ** 31 - 1
+
+
 def test_round_trip_catalog_models():
     for spec in catalog_list():
         model = spec.model()

@@ -171,3 +171,96 @@ def sparse_ratfuncs(chart, max_exponent=2):
     constants = st.fractions(min_value=-2, max_value=2, max_denominator=2).map(
         lambda q: RatFunc.constant(chart, q))
     return st.one_of(st.just(chart.zero()), constants, general)
+
+
+# --- tuple-keyed polynomial reference: terms as {exponent tuple: coefficient},
+# graded-lex as the (total degree, exponents) tuple order ---
+
+def grlex(exps):
+    return (sum(exps), exps)
+
+
+def unpacked(poly):
+    """A Polynomial's terms keyed by exponent tuples."""
+    return {poly.chart.unpack(k): c for k, c in poly.terms.items()}
+
+
+def _drop_zeros(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def tuple_leading(terms):
+    e = max(terms, key=grlex)
+    return e, terms[e]
+
+
+def tuple_total_degree(terms):
+    return max((sum(e) for e in terms), default=0)
+
+
+def tuple_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _drop_zeros(out)
+
+
+def tuple_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _drop_zeros(out)
+
+
+def tuple_derivative(terms, i):
+    return _drop_zeros({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                        for e, c in terms.items() if e[i]})
+
+
+def tuple_eval_var(terms, i, value):
+    out = {}
+    for e, c in terms.items():
+        base = e[:i] + (0,) + e[i + 1:]
+        out[base] = out.get(base, 0) + c * value ** e[i]
+    return _drop_zeros(out)
+
+
+def tuple_univ_coeffs(terms, i):
+    out = {}
+    for e, c in terms.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return out
+
+
+def tuple_divexact(a, b):
+    """Exact quotient a / b; ValueError when it is not a polynomial."""
+    out, rem = {}, dict(a)
+    le, lc = tuple_leading(b)
+    while rem:
+        re = max(rem, key=grlex)
+        diff = tuple(x - y for x, y in zip(re, le))
+        q, r = divmod(rem[re], lc)
+        if r or any(d < 0 for d in diff):
+            raise ValueError("inexact polynomial division")
+        out[diff] = q
+        rem = tuple_add(rem, {e: -c for e, c in tuple_mul({diff: q}, b).items()})
+    return out
+
+
+def tuple_render(variables, terms):
+    """Graded-lex descending text, as ``Polynomial.render`` prints it."""
+    if not terms:
+        return "0"
+    text = ""
+    for e in sorted(terms, key=grlex, reverse=True):
+        c = terms[e]
+        mono = "*".join(v if k == 1 else f"{v}^{k}"
+                        for v, k in zip(variables, e) if k)
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if not text:
+            text = ("-" if c < 0 else "") + body
+        else:
+            text += f" {'-' if c < 0 else '+'} {body}"
+    return text
