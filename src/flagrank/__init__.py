@@ -16,23 +16,19 @@ from .algebra import Chart, PointQ, Polynomial, RatFunc, poly_gcd
 from .calculus import OneForm, VectorField, coordinate_field, coordinate_form, \
     lie_bracket, pairing
 from .classification import AdaptedFrame, BracketForm, PointClass, \
-    RegularityReport, adapted_frame, bracket_form, classify_at, \
-    classify_form_generic, classify_generic, regularity_scan, sample_points, \
-    transformed_frame
+    RegularityReport, adapted_frame, bracket_form, classify_form_generic, \
+    regularity_scan, sample_points
 from .distribution import Distribution, GrowthVector, annihilator_frame, \
-    bracket_span, cauchy_characteristic, derived_flag, frobenius_integrable, \
-    growth_at, span_contains, span_reduce, spans_equal, \
-    square_root_subdistribution
+    bracket_span, derived_flag, frobenius_integrable, growth_at, span_reduce, \
+    spans_equal, square_root_subdistribution
 from .dsl import Model, ModelSource, elaborate, load_model, parse, parse_scalar, \
     render_model
 from .linalg import Echelon, kernel_basis, rank_generic, solve_in_span
-from .models import ModelSpec, catalog_list, emit_dsl, eq3_parameter_chart, \
-    eq3_source, eq4_parameter_chart, eq4_source, get_model, lift_pair, \
-    model_elliptic_demo, model_eq3, model_eq4, model_eq5, model_eq6, \
-    model_g1_flat, model_hyperbolic_demo, model_j21
+from .models import ModelSpec, catalog_list, eq3_parameter_chart, eq3_source, \
+    eq4_parameter_chart, eq4_source, get_model, lift_pair, model_eq3, model_eq4
 from .parabolic import Analysis, BranchReport, FlagBranch, ParabolicFlag, \
-    RelationCheck, SymbolAlgebra, SymbolClass, Verdict, b2_integrable, \
-    branch_classify, completely_nondegenerate, e_subdistribution, \
-    parabolic_flag, symbol_algebra_at, symbol_d_function, verify_flag_relations
+    RelationCheck, SymbolAlgebra, SymbolClass, Verdict, branch_classify, \
+    e_subdistribution, parabolic_flag, symbol_algebra_at, symbol_d_function, \
+    verify_flag_relations
 
 __all__ = [name for name in dir() if not name.startswith("_")]

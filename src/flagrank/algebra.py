@@ -418,11 +418,11 @@ class Polynomial:
                     factors.append(f"{name}^{k}")
             mono = "*".join(factors)
             if not mono:
-                body = str(abs(c))
+                body = int_to_decimal(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{int_to_decimal(abs(c))}*{mono}"
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body
@@ -993,5 +993,29 @@ def _power(table, k):
 def _render_fraction(q):
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return int_to_decimal(q.numerator)
+    return f"{int_to_decimal(q.numerator)}/{int_to_decimal(q.denominator)}"
+
+
+# CPython checks int <-> decimal text conversions only past 640 digits (the
+# limit, 4300 digits by default, may be set no lower); parts stay below that.
+_DIRECT_DIGITS = 600
+
+
+def int_to_decimal(n):
+    """``str(n)`` for an integer of any size, split at powers of ten."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n.bit_length() <= 3 * _DIRECT_DIGITS:  # 2^1800 has 542 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits of n
+    high, low = divmod(n, 10 ** k)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(k)
+
+
+def decimal_to_int(digits):
+    """``int(digits)`` for a string of decimal digits of any length."""
+    if len(digits) <= _DIRECT_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return decimal_to_int(digits[:-k]) * 10 ** k + decimal_to_int(digits[-k:])

@@ -38,8 +38,7 @@ class AdaptedFrame:
     """Frame (X1, X2, Y, Y1, Y2, Z) adapted to a growth-(3,5,6) distribution.
 
     (X1, X2) spans the square-root plane, (X1, X2, Y) the distribution,
-    Y1 = [Y, X1], Y2 = [Y, X2], and Z completes to a full frame.  ``notes``
-    records which deterministic choices were made.
+    Y1 = [Y, X1], Y2 = [Y, X2], and Z completes to a full frame.
     """
 
     x1: VectorField
@@ -48,7 +47,6 @@ class AdaptedFrame:
     y1: VectorField
     y2: VectorField
     z: VectorField
-    notes: tuple = ()
 
     def full(self):
         return [self.x1, self.x2, self.y, self.y1, self.y2, self.z]
@@ -138,24 +136,6 @@ def _residual_coordinate(echelon, last_residual, field, message):
     return c
 
 
-def transformed_frame(frame, y_scale=1, z_scale=1, basis=None):
-    """Rebuilt adapted frame after rescaling Y and Z or changing (X1, X2).
-
-    ``basis`` is a 2x2 rational matrix of constants applied to (X1, X2); the
-    derived fields Y1, Y2 are recomputed so the result is again adapted.
-    """
-    x1, x2 = frame.x1, frame.x2
-    if basis is not None:
-        (m11, m12), (m21, m22) = basis
-        n1 = x1.scale(m11) + x2.scale(m12)
-        n2 = x1.scale(m21) + x2.scale(m22)
-        x1, x2 = n1, n2
-    y = frame.y.scale(y_scale)
-    z = frame.z.scale(z_scale)
-    return AdaptedFrame(x1, x2, y, lie_bracket(y, x1), lie_bracket(y, x2), z,
-                        frame.notes + ("transformed",))
-
-
 def _classify_values(a11, a12, a22):
     if a11 == 0 and a12 == 0 and a22 == 0:
         return PointClass.PARABOLIC_DEG
@@ -165,17 +145,25 @@ def _classify_values(a11, a12, a22):
     return PointClass.ELLIPTIC if det > 0 else PointClass.HYPERBOLIC
 
 
-def sample_points(chart, seed, max_denominator=3, magnitude=4):
-    """Deterministic stream of small rational sample points."""
+_MAGNITUDE = 4
+_MAX_DENOMINATOR = 3
+# points drawn in a search for one usable point (form sign, symbol sample),
+# and per wanted point in a scan
+_SEARCH_BUDGET = 200
+_RETRY_FACTOR = 25
+
+
+def sample_points(chart, seed, budget):
+    """Deterministic stream of at most ``budget`` small rational sample points."""
     rng = random.Random(seed)
-    while True:
-        coords = [Fraction(rng.randint(-magnitude, magnitude),
-                           rng.randint(1, max_denominator))
+    for _ in range(budget):
+        coords = [Fraction(rng.randint(-_MAGNITUDE, _MAGNITUDE),
+                           rng.randint(1, _MAX_DENOMINATOR))
                   for _ in range(chart.dimension)]
         yield PointQ(chart, coords)
 
 
-def classify_form_generic(form, seed=0, budget=200):
+def classify_form_generic(form, seed=0):
     rank = rank_generic(form.matrix())
     if rank == 0:
         return PointClass.PARABOLIC_DEG
@@ -186,27 +174,16 @@ def classify_form_generic(form, seed=0, budget=200):
         value = det.constant_value()
         return PointClass.ELLIPTIC if value > 0 else PointClass.HYPERBOLIC
     chart = det.chart
-    stream = sample_points(chart, seed)
-    for _ in range(budget):
-        p = next(stream)
+    for p in sample_points(chart, seed, _SEARCH_BUDGET):
         try:
             if form.frame.rank_at(p) != chart.dimension:
                 continue
             value = det.evaluate(p)
         except PoleAtPoint:
             continue
-        if value == 0:
-            continue
-        return PointClass.ELLIPTIC if value > 0 else PointClass.HYPERBOLIC
+        if value:
+            return PointClass.ELLIPTIC if value > 0 else PointClass.HYPERBOLIC
     raise SampleBudgetExhausted("could not find a definite sample for the form sign")
-
-
-def classify_generic(dist):
-    return Classification(dist).generic_class()
-
-
-def classify_at(dist, point):
-    return Classification(dist).class_at(point)
 
 
 @dataclass(frozen=True)
@@ -251,7 +228,7 @@ class RegularityReport:
         }
 
 
-def regularity_scan(dist, n_samples=20, seed=0, retry_factor=25):
+def regularity_scan(dist, n_samples=20, seed=0, retry_factor=_RETRY_FACTOR):
     """Classify at seeded sample points and test constancy of the class.
 
     Points where the growth vector drops, the adapted frame degenerates, or a
@@ -306,14 +283,8 @@ class Classification:
             raise ConsistencyError("adapted five-frame does not have rank 5")
         pivot_cols = set(ech.pivot_columns())
         missing = [i for i in range(chart.dimension) if i not in pivot_cols]
-        z_var = chart.variables[missing[0]]
-        z = coordinate_field(chart, z_var)
-        notes = (
-            "X1,X2: square-root plane kernel basis",
-            f"Y: frame field #{list(dist.frame).index(y)} (constant-pivot preferred)",
-            f"Z: coordinate direction @{z_var} (echelon complement)",
-        )
-        return AdaptedFrame(x1, x2, y, y1, y2, z, notes)
+        z = coordinate_field(chart, chart.variables[missing[0]])
+        return AdaptedFrame(x1, x2, y, y1, y2, z)
 
     @cached_property
     def form(self):
@@ -333,7 +304,7 @@ class Classification:
                 f"adapted frame degenerates at {point.render()}; choose another point")
         return _classify_values(*form.evaluate(point))
 
-    def scan(self, n_samples=20, seed=0, retry_factor=25):
+    def scan(self, n_samples=20, seed=0, retry_factor=_RETRY_FACTOR):
         key = (n_samples, seed, retry_factor)
         if key in self._scans:
             return self._scans[key]
@@ -345,14 +316,12 @@ class Classification:
         generic = self.generic_class(seed)
         samples = []
         skipped = []
-        stream = sample_points(dist.chart, seed)
-        budget = n_samples * retry_factor
+        points = sample_points(dist.chart, seed, n_samples * retry_factor)
         while len(samples) < n_samples:
-            if budget == 0:
+            p = next(points, None)
+            if p is None:
                 raise SampleBudgetExhausted(
                     f"no {n_samples} usable sample points within budget")
-            budget -= 1
-            p = next(stream)
             try:
                 if growth_at(dist, p, steps) != (3, 5, 6):
                     skipped.append(SkippedRow(p, "growth-drop"))

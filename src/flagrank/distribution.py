@@ -26,8 +26,7 @@ class Distribution:
 
     ``generators`` is a spanning set that may be larger than the frame; it is
     kept so pointwise ranks see every bracket that built the span, not only
-    the generic basis selected from them.  A rank-0 result (empty frame) is
-    allowed for derived objects such as characteristic spaces.
+    the generic basis selected from them.  An empty frame (rank 0) is allowed.
     """
 
     __slots__ = ("chart", "frame", "generators", "_rank")
@@ -103,11 +102,6 @@ def span_reduce(fields):
     for f in fields:
         ech.add(f.coefficients)
     return [VectorField(chart, row) for row in ech.rows]
-
-
-def span_contains(fields, candidate):
-    ech = Echelon(candidate.chart.dimension, [f.coefficients for f in fields])
-    return ech.contains(candidate.coefficients)
 
 
 def spans_equal(fields_a, fields_b):
@@ -246,42 +240,6 @@ def _new_brackets(fields_a, fields_b, seen):
             seen.add(br)
             out.append(br)
     return out
-
-
-def cauchy_characteristic(dist):
-    """Sections of the distribution whose brackets with it stay inside.
-
-    Solves, over the function field, for coefficient vectors c with
-    sum_i c_i [F_i, F_j] = 0 mod the distribution for every frame field F_j;
-    the derivative terms of non-constant c stay in the span, so this
-    pointwise-linear system is exact.
-    """
-    chart = dist.chart
-    frame = dist.frame
-    m = len(frame)
-    ech = dist.echelon()
-    residual = {}
-    zero_vec = [chart.const(0)] * chart.dimension
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                residual[(i, j)] = zero_vec
-            elif i < j:
-                residual[(i, j)] = ech.residual(
-                    lie_bracket(frame[i], frame[j]).coefficients)
-            else:
-                residual[(i, j)] = [-e for e in residual[(j, i)]]
-    rows = []
-    for j in range(m):
-        for k in range(chart.dimension):
-            rows.append([residual[(i, j)][k] for i in range(m)])
-    solutions = kernel_basis(rows)
-    fields = []
-    for c in solutions:
-        combo = combine(frame, c)
-        if combo is not None and not combo.is_zero():
-            fields.append(combo)
-    return Distribution(chart, span_reduce(fields))
 
 
 def square_root_subdistribution(dist):

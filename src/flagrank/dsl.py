@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import DEGREE_BOUND, Chart, PointQ, RatFunc
+from .algebra import DEGREE_BOUND, Chart, PointQ, RatFunc, decimal_to_int, \
+    int_to_decimal
 from .calculus import OneForm, VectorField, coordinate_field, coordinate_form
 from .distribution import Distribution, annihilator_frame
 from .errors import ArityError, DegenerateFrame, DependentForms, DuplicateName, \
@@ -63,9 +64,9 @@ def _tokenize(text, origin):
             if ch in " \t\r":
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and line[j].isdigit():
+                while j < n and line[j].isdecimal():
                     j += 1
                 tokens.append(Token("number", line[i:j], line_no, col))
                 i = j
@@ -304,13 +305,14 @@ class _Parser:
             self.next()
             sign = -1
         num = self.expect("number", "a rational coordinate")
-        value = Fraction(sign * int(num.text))
+        value = Fraction(sign * decimal_to_int(num.text))
         if self.peek().kind == "/":
             self.next()
             den = self.expect("number", "a denominator")
-            if int(den.text) == 0:
+            den_value = decimal_to_int(den.text)
+            if den_value == 0:
                 self.error("zero denominator in coordinate", den)
-            value = value / int(den.text)
+            value = value / den_value
         return value
 
     def parse_point(self):
@@ -368,16 +370,17 @@ class _Parser:
                 self.next()
                 sign = -1
             exp = self.expect("number", "an integer exponent")
-            value = int(exp.text)
+            value = decimal_to_int(exp.text)
             if value >= DEGREE_BOUND:
-                self.error(f"exponent {value} is too large: powers stay below 2^31", exp)
+                self.error(f"exponent {int_to_decimal(value)} is too large: "
+                           "powers stay below 2^31", exp)
             return Power(base, sign * value, caret.line, caret.col)
         return base
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "number":
-            return Num(int(tok.text), tok.line, tok.col)
+            return Num(decimal_to_int(tok.text), tok.line, tok.col)
         if tok.kind == "@":
             var = self.expect("ident", "a variable after '@'")
             return CoordField(var.text, tok.line, tok.col)

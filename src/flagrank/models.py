@@ -234,40 +234,12 @@ def get_model(name):
     raise UnknownModel(f"no builtin model named {name!r}")
 
 
-def emit_dsl(name):
-    return get_model(name).source
-
-
-def model_j21():
-    return get_model("j21").distribution()
-
-
 def model_eq3(parameter=None):
     return load_model(ModelSource(eq3_source(parameter), "<eq3>")).primary_dist()[1]
 
 
 def model_eq4(parameter=None):
     return load_model(ModelSource(eq4_source(parameter), "<eq4>")).primary_dist()[1]
-
-
-def model_eq5():
-    return model_eq3(None)
-
-
-def model_eq6():
-    return model_eq4(None)
-
-
-def model_g1_flat():
-    return get_model("g1_flat").distribution()
-
-
-def model_elliptic_demo():
-    return get_model("elliptic").distribution()
-
-
-def model_hyperbolic_demo():
-    return get_model("hyperbolic").distribution()
 
 
 def _fresh_variable(chart, base="s"):

@@ -9,8 +9,8 @@ classified branches (or the open one) the input belongs to.
 
 Every stage is built in one place, ``Analysis``: one object per distribution
 that builds each stage on first use and reuses it.  It lives for one request
-or one public call, never longer; the public functions are thin reads of a
-fresh one.
+or one public call, never longer; ``parabolic_flag``, ``symbol_d_function``,
+``symbol_algebra_at`` and ``branch_classify`` are thin reads of a fresh one.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
+from .algebra import _render_fraction
 from .calculus import coordinate_field, lie_bracket
-from .classification import Classification, PointClass, \
-    _complete_with_field, _residual_coordinate, sample_points
+from .classification import _RETRY_FACTOR, _SEARCH_BUDGET, Classification, \
+    PointClass, _complete_with_field, _residual_coordinate, sample_points
 from .distribution import Distribution, bracket_span, combine, derived_flag, \
     frobenius_integrable, growth_at, span_reduce, spans_equal
 from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
@@ -72,12 +73,9 @@ def _bracket_kernel(domain_fields, direction, mod_echelon):
     return [combine(domain_fields, c) for c in kernel_basis(rows)]
 
 
-def parabolic_flag(dist, point_class=None):
+def parabolic_flag(dist):
     """The invariant flag of ranks 1..5 attached to a parabolic distribution."""
-    analysis = Analysis(dist)
-    if point_class is None:
-        return analysis.flag
-    return analysis.build_flag(point_class)
+    return Analysis(dist).flag
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,6 @@ class SymbolAlgebra:
     d_raw: Fraction
     d_normalized: int
     grading_violations: tuple
-    basis_rendered: tuple
 
     def constant(self, i, j, k):
         if i == j:
@@ -187,12 +184,12 @@ class SymbolAlgebra:
     def to_json_dict(self):
         table = {}
         for (i, j), comps in sorted(self.constants.items()):
-            rendered = {f"e{k}": str(v) for k, v in sorted(comps.items()) if v != 0}
+            rendered = {f"e{k}": _render_fraction(v) for k, v in sorted(comps.items()) if v}
             if rendered:
                 table[f"[e{i},e{j}]"] = rendered
         return {
             "point": self.point.render(),
-            "d_raw": str(self.d_raw),
+            "d_raw": _render_fraction(self.d_raw),
             "d_normalized": self.d_normalized,
             "brackets": table,
             "grading_violations": list(self.grading_violations),
@@ -223,9 +220,9 @@ def _partials_at(point, coeff, partials):
     return out
 
 
-def symbol_d_function(dist, flag):
+def symbol_d_function(dist):
     """The d-invariant as a rational function (zero iff the symbol is g0)."""
-    return Analysis(dist, flag).d_function
+    return Analysis(dist).d_function
 
 
 def symbol_algebra_at(dist, point):
@@ -252,11 +249,8 @@ def e_subdistribution(dist, flag, transverse=None):
     if flag.branch is not FlagBranch.NONDEGENERATE:
         raise NotParabolicNonDeg("reduced-pair analysis needs the non-degenerate branch")
     chart = dist.chart
-    line = flag[1].frame[0]
     if transverse is None:
-        transverse = _complete_with_field([line], list(flag[2].frame), 2)
-        if transverse is None:
-            raise ConsistencyError("no plane field transverse to the flag line")
+        transverse = _flag_transverse(flag)
     d4 = flag[4]
     combos = _bracket_kernel(list(d4.frame), transverse, d4.echelon())
     sub = Distribution(chart, span_reduce(combos))
@@ -270,16 +264,12 @@ def e_subdistribution(dist, flag, transverse=None):
     return sub
 
 
-def b2_integrable(dist, flag=None):
-    """Integrability of the reduced plane, tested on its upstairs preimage."""
-    return frobenius_integrable(Analysis(dist, flag).e_sub)
-
-
-def completely_nondegenerate(dist, n_samples=20, seed=0, flag=None,
-                             retry_factor=25):
-    """True iff the preimage plane's flag ranks are constant across samples."""
-    return Analysis(dist, flag).completely_nondegenerate(n_samples, seed,
-                                                         retry_factor)
+def _flag_transverse(flag):
+    """The first field of the rank-2 stratum transverse to the flag line."""
+    field = _complete_with_field([flag[1].frame[0]], list(flag[2].frame), 2)
+    if field is None:
+        raise ConsistencyError("no plane field transverse to the flag line")
+    return field
 
 
 class Verdict(Enum):
@@ -345,21 +335,14 @@ class Analysis(Classification):
     Adds the flag, its relations, the symbol frame with the first partials
     of its coefficients (the symbol at a point is built from their values
     there), the d-function (the one bracket of the frame solved over the
-    function field) and the E-subdistribution.  A given ``flag`` replaces
-    the flag stage.
+    function field) and the E-subdistribution.  The flag line's transverse
+    in the rank-2 stratum is chosen once, for the symbol frame and E.
     """
-
-    def __init__(self, dist, flag=None):
-        super().__init__(dist)
-        if flag is not None:
-            self.flag = flag
 
     @cached_property
     def flag(self):
-        return self.build_flag(self.generic_class())
-
-    def build_flag(self, point_class):
-        """The flag for the given point class; ``flag`` keeps the generic one."""
+        """The flag of the generic point class."""
+        point_class = self.generic_class()
         d5 = self.steps[1]
         frame = self.frame
         form = self.form
@@ -405,14 +388,17 @@ class Analysis(Classification):
         return tuple(verify_flag_relations(self.flag))
 
     @cached_property
+    def transverse(self):
+        """F2: the rank-2 stratum's first field transverse to the flag line."""
+        return _flag_transverse(self.flag)
+
+    @cached_property
     def _symbol_basis(self):
         """The symbol frame (F1..F5, F7), the echelon of F1..F5 and F7's
         residual against it, nonzero iff the frame has generic rank 6."""
-        dist, flag = self.dist, self.flag
-        f1 = flag[1].frame[0]
-        f2 = _complete_with_field([f1], list(flag[2].frame), 2)
-        if f2 is None:
-            raise ConsistencyError("no plane field transverse to the flag line")
+        dist = self.dist
+        f1 = self.flag[1].frame[0]
+        f2 = self.transverse
         f3 = _complete_with_field([f1, f2], list(dist.frame), 3)
         if f3 is None:
             raise ConsistencyError("no frame field transverse to the plane")
@@ -507,7 +493,6 @@ class Analysis(Classification):
         point_cls = self.class_at(point)
         if point_cls is not PointClass.PARABOLIC_NONDEG:
             raise NotParabolicNonDeg(f"class at {point.render()} is {point_cls.value}")
-        fields = self.symbol_fields
         coordinates = self.bracket_coordinates_at(point)
         constants = {}
         violations = []
@@ -537,25 +522,22 @@ class Analysis(Classification):
             d_raw=d_raw,
             d_normalized=d_normalized,
             grading_violations=tuple(violations),
-            basis_rendered=tuple(f.render() for f in fields),
         )
         return algebra, sym_class
 
     @cached_property
     def e_sub(self):
-        return e_subdistribution(self.dist, self.flag)
+        return e_subdistribution(self.dist, self.flag, self.transverse)
 
-    def completely_nondegenerate(self, n_samples=20, seed=0, retry_factor=25):
+    def completely_nondegenerate(self, n_samples=20, seed=0):
         sub = self.e_sub
         steps, growth = derived_flag(sub)
-        stream = sample_points(self.dist.chart, seed)
+        points = sample_points(self.dist.chart, seed, n_samples * _RETRY_FACTOR)
         good = 0
-        budget = n_samples * retry_factor
         while good < n_samples:
-            if budget == 0:
+            p = next(points, None)
+            if p is None:
                 raise SampleBudgetExhausted("no usable sample points for growth scan")
-            budget -= 1
-            p = next(stream)
             try:
                 ranks = growth_at(sub, p, steps)
             except PoleAtPoint:
@@ -565,11 +547,9 @@ class Analysis(Classification):
             good += 1
         return True
 
-    def _find_symbol_sample(self, seed, budget=200):
-        stream = sample_points(self.dist.chart, seed)
+    def _find_symbol_sample(self, seed):
         last_error = None
-        for _ in range(budget):
-            p = next(stream)
+        for p in sample_points(self.dist.chart, seed, _SEARCH_BUDGET):
             try:
                 return self.symbol_at(p)
             except (NotGrowth356, PoleAtPoint, NotParabolicNonDeg) as exc:
@@ -577,7 +557,6 @@ class Analysis(Classification):
                 # here is a point where the growth drops: skip it as the
                 # scan does
                 last_error = exc
-                continue
         raise SampleBudgetExhausted(
             f"no usable point for symbol extraction: {last_error}")
 

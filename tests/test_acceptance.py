@@ -11,15 +11,16 @@ import json
 import random
 from fractions import Fraction
 
-from flagrank import PointClass, SymbolClass, Verdict, adapted_frame, \
-    b2_integrable, bracket_form, bracket_span, branch_classify, catalog_list, \
+from flagrank import Analysis, PointClass, SymbolClass, Verdict, adapted_frame, \
+    bracket_form, bracket_span, branch_classify, catalog_list, \
     classify_form_generic, coordinate_field, derived_flag, e_subdistribution, \
     get_model, lift_pair, model_eq3, model_eq4, parabolic_flag, regularity_scan, \
-    span_contains, spans_equal, symbol_algebra_at, symbol_d_function, \
-    transformed_frame, verify_flag_relations, Chart, VectorField
+    spans_equal, symbol_algebra_at, symbol_d_function, verify_flag_relations, \
+    Chart, VectorField
 from flagrank.cli import main
 from flagrank.errors import LiftPreconditionFailed
-from util import change_frame, rand_invertible, rand_polynomial, vf
+from util import change_frame, rand_invertible, rand_polynomial, \
+    transformed_frame, vf
 
 
 @contextlib.contextmanager
@@ -177,10 +178,10 @@ def test_criterion_08_flag_relations_and_symbol_crosscheck():
             assert all(c.holds for c in verify_flag_relations(flag)), name
             if flag.branch.value == "nondegenerate":
                 closed = all(
-                    span_contains(list(flag[5].frame), g)
+                    flag[5].echelon().contains(g.coefficients)
                     for g in bracket_span(list(flag[4].frame),
                                           list(flag[4].frame)))
-                assert closed == symbol_d_function(d, flag).is_zero(), name
+                assert closed == symbol_d_function(d).is_zero(), name
 
 
 def test_criterion_09_trichotomy_coverage():
@@ -190,8 +191,7 @@ def test_criterion_09_trichotomy_coverage():
             d = get_model(name).distribution()
             _, growth = derived_flag(d)
             assert growth.ranks == (3, 5, 6)
-            from flagrank import classify_generic
-            assert classify_generic(d) is expected
+            assert Analysis(d).generic_class() is expected
 
 
 def _run_cli_json(argv):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flagrank import Chart, Polynomial, RatFunc, catalog_list, cli
-from flagrank.algebra import _heuristic_gcd, _prs_entry, poly_gcd
+from flagrank.algebra import _heuristic_gcd, _prs_entry, decimal_to_int, \
+    int_to_decimal, poly_gcd
 from flagrank.errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
     PreconditionError, UnknownVariable
-from util import grlex, ref_add, ref_derivative, ref_div, ref_mul, ref_neg, ref_sub, sc, \
+from util import digits_value, grlex, ref_add, ref_derivative, ref_div, ref_mul, ref_neg, ref_sub, sc, \
     sparse_ratfuncs, tuple_add, tuple_derivative, tuple_divexact, tuple_eval_var, \
     tuple_leading, tuple_mul, tuple_render, tuple_total_degree, tuple_univ_coeffs, unpacked
 
@@ -21,6 +22,30 @@ CH6 = Chart("B", ("u1", "u2", "u3", "x", "y", "z"))
 def test_add_cancellation():
     f = sc(CH, "x/y")
     assert f + (1 - f) == 1
+
+
+HUGE_INTEGERS = {
+    "zero": 0, "seven": 7, "minus_seven": -7, "ten^600": 10 ** 600,
+    "2^1800-1": 2 ** 1800 - 1, "2^1800": 2 ** 1800, "-2^1801": -(2 ** 1801),
+    "ten^5000": 10 ** 5000, "ten^5000-1": 10 ** 5000 - 1,
+    "ten^5000+1": 10 ** 5000 + 1, "2^20000": 2 ** 20000,
+    "-3^30000+ten^700": -(3 ** 30000) + 10 ** 700,
+}
+
+
+@pytest.mark.parametrize("name", HUGE_INTEGERS)
+def test_decimal_text_has_no_size_limit(name):
+    n = HUGE_INTEGERS[name]
+    # CPython refuses int <-> text conversions past 4300 digits by default
+    text = int_to_decimal(n)
+    digits = text[1:] if n < 0 else text
+    assert text[:1] != "-" or n < 0
+    assert digits == "0" or digits[0] != "0"
+    assert digits_value(digits) == abs(n)
+    assert decimal_to_int(digits) == abs(n)
+    assert decimal_to_int("0" * 700 + digits) == abs(n)
+    if len(digits) < 4300:
+        assert text == str(n)
 
 
 def test_gcd_reduction_on_construction():

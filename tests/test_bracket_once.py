@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagrank import Chart, VectorField, adapted_frame, bracket_form, get_model, \
-    growth_at, lie_bracket, solve_in_span, span_reduce, spans_equal, \
-    transformed_frame
+    growth_at, lie_bracket, solve_in_span, span_reduce, spans_equal
 from flagrank.classification import sample_points
 from flagrank.distribution import Distribution, GrowthVector, bracket_span, \
     derived_flag
@@ -23,7 +22,8 @@ from flagrank.errors import PoleAtPoint
 from flagrank.linalg import Echelon
 from flagrank.models import catalog_list, model_eq3, model_eq4
 from flagrank.parabolic import Analysis
-from util import family_parameter, rand_invertible, sparse_ratfuncs
+from util import family_parameter, rand_invertible, sparse_ratfuncs, \
+    transformed_frame
 
 MODELS = {"eq3": model_eq3, "eq4": model_eq4}
 BUILTINS = [spec.name for spec in catalog_list()]
@@ -114,9 +114,7 @@ def assert_flag_matches_reference(dist, seed=0):
     assert [s.generic_rank for s in steps] == list(growth.ranks)
     assert_sign_free_prefixes(steps)
     assert len(steps[-1].generators) <= len(ref_steps[-1].generators)
-    stream = sample_points(dist.chart, seed)
-    for _ in range(10):
-        p = next(stream)
+    for p in sample_points(dist.chart, seed, 10):
         assert pointwise_growth(dist, steps, p) == \
             pointwise_growth(dist, ref_steps, p), p.render()
 

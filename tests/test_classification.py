@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from flagrank import Chart, Distribution, PointClass, adapted_frame, bracket_form, \
-    classify_at, classify_form_generic, classify_generic, coordinate_field, \
-    get_model, lie_bracket, load_model, regularity_scan, span_contains, \
-    transformed_frame
+from flagrank import Analysis, Chart, Distribution, Echelon, PointClass, \
+    adapted_frame, bracket_form, classify_form_generic, coordinate_field, \
+    get_model, lie_bracket, load_model, regularity_scan
 from flagrank.errors import NotGrowth356, PoleAtPoint, SampleBudgetExhausted
-from util import rand_invertible, change_frame, sc, vf
+from util import rand_invertible, change_frame, sc, transformed_frame, vf
 
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
 PDE = Chart("PDE", ("u1", "u2", "u3", "x", "y", "z"))
@@ -77,14 +76,14 @@ def test_bracket_form_definition_oracle():
         d = get_model(name).distribution()
         fr = adapted_frame(d)
         form = bracket_form(d, fr)
-        five = [fr.x1, fr.x2, fr.y, fr.y1, fr.y2]
+        five = Echelon(6, [f.coefficients for f in fr.full()[:5]])
         entries = {("1", "1"): form.a11, ("1", "2"): form.a12,
                    ("2", "1"): form.a21, ("2", "2"): form.a22}
         for (i, j), value in entries.items():
             xi = fr.x1 if i == "1" else fr.x2
             yj = fr.y1 if j == "1" else fr.y2
             residue = lie_bracket(xi, yj) - fr.z.scale(value)
-            assert span_contains(five, residue)
+            assert five.contains(residue.coefficients)
 
 
 def test_elliptic_demo_form_is_definite():
@@ -92,23 +91,23 @@ def test_elliptic_demo_form_is_definite():
     form = bracket_form(d, adapted_frame(d))
     assert form.a11 == -1 and form.a22 == -1
     assert form.a12.is_zero()
-    assert classify_generic(d) is PointClass.ELLIPTIC
+    assert Analysis(d).generic_class() is PointClass.ELLIPTIC
 
 
 def test_hyperbolic_demo_form_is_indefinite():
     d = get_model("hyperbolic").distribution()
     form = bracket_form(d, adapted_frame(d))
     assert form.det().constant_value() < 0
-    assert classify_generic(d) is PointClass.HYPERBOLIC
+    assert Analysis(d).generic_class() is PointClass.HYPERBOLIC
 
 
 def test_classify_at_points():
-    assert classify_at(get_model("j21").distribution(), J21.origin()) \
+    assert Analysis(get_model("j21").distribution()).class_at(J21.origin()) \
         is PointClass.PARABOLIC_DEG
-    assert classify_at(get_model("eq5").distribution(), PDE.origin()) \
+    assert Analysis(get_model("eq5").distribution()).class_at(PDE.origin()) \
         is PointClass.PARABOLIC_NONDEG
     hyp = get_model("hyperbolic").distribution()
-    assert classify_at(hyp, hyp.chart.origin()) is PointClass.HYPERBOLIC
+    assert Analysis(hyp).class_at(hyp.chart.origin()) is PointClass.HYPERBOLIC
 
 
 def test_classify_matches_scan_samples():
@@ -116,7 +115,7 @@ def test_classify_matches_scan_samples():
     report = regularity_scan(d, n_samples=10, seed=3)
     assert report.generic_class is PointClass.PARABOLIC_NONDEG
     for row in report.samples:
-        assert classify_at(d, row.point) is row.point_class
+        assert Analysis(d).class_at(row.point) is row.point_class
 
 
 def test_class_invariant_under_frame_transformations():
@@ -137,9 +136,10 @@ def test_class_invariant_under_distribution_frame_change():
     rng = random.Random(33)
     for name in ("eq5", "hyperbolic"):
         d = get_model(name).distribution()
-        base = classify_generic(d)
+        base = Analysis(d).generic_class()
         for _ in range(3):
-            assert classify_generic(change_frame(d, rand_invertible(rng, 3))) is base
+            changed = change_frame(d, rand_invertible(rng, 3))
+            assert Analysis(changed).generic_class() is base
 
 
 def test_scan_jet_model_regular():
@@ -177,5 +177,5 @@ def test_classify_at_frame_degeneration_reports_pole():
     # the adapted frame of the singular model stays fine at the origin, so
     # probe a model whose frame includes a coordinate-vanishing coefficient
     d = singular_model()
-    cls = classify_at(d, d.chart.origin())
+    cls = Analysis(d).class_at(d.chart.origin())
     assert cls is PointClass.PARABOLIC_NONDEG  # watershed point of the drift

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from flagrank import cli
 from flagrank.cli import main
+from util import digits_value
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -311,6 +313,25 @@ def test_bad_powers_are_positioned_model_errors(tmp_path, expression, error, pos
     report = json.loads(text)["error"]
     assert report["type"] == error
     assert report["message"].startswith(f"{path}:{position}: ")
+
+
+@pytest.mark.parametrize("coefficient, value", [
+    ("2^20000", 2 ** 20000),
+    ("7" * 5000, (10 ** 5000 - 1) // 9 * 7),
+], ids=["power", "literal"])
+def test_coefficients_past_the_digit_limit(tmp_path, coefficient, value):
+    # CPython refuses int <-> text conversions past 4300 digits by default
+    path = tmp_path / "huge.dist"
+    path.write_text(
+        "chart M(a, b, c, x, y, z)\n"
+        f"field A = @a + {coefficient}*@x\n"
+        "field B = @b\nfield C = @c\ndist D = span(A, B, C)\n",
+        encoding="utf-8")
+    code, text = run_cli(["analyze", str(path), "--tasks", "growth", "--format", "json"])
+    assert code == 0, text
+    frame = json.loads(text)["results"]["growth"]["steps"][0]["frame"]
+    digits = re.fullmatch(r"\(1\)\*@a \+ \((\d+)\)\*@x", frame[0]).group(1)
+    assert digits_value(digits) == value
 
 
 def test_degree_overflow_during_analysis_exits_3(tmp_path):

@@ -1,4 +1,4 @@
-"""Derived flags, growth vectors, characteristics, and the square-root plane."""
+"""Derived flags, growth vectors, integrability, and the square-root plane."""
 
 import random
 import re
@@ -6,9 +6,9 @@ import re
 import pytest
 
 from flagrank import Chart, Distribution, OneForm, annihilator_frame, \
-    cauchy_characteristic, coordinate_field, derived_flag, frobenius_integrable, \
-    get_model, growth_at, lie_bracket, rank_generic, span_contains, span_reduce, \
-    spans_equal, square_root_subdistribution
+    coordinate_field, derived_flag, frobenius_integrable, get_model, growth_at, \
+    lie_bracket, rank_generic, span_reduce, spans_equal, \
+    square_root_subdistribution
 from flagrank.errors import DependentForms, NotRank35, PoleAtPoint
 from flagrank.linalg import certified_rank
 from flagrank.models import catalog_list, model_eq3, model_eq4
@@ -173,30 +173,6 @@ def test_frobenius_square_root_of_pde_model():
     assert frobenius_integrable(square_root_subdistribution(d))
 
 
-def test_cauchy_contact_structure():
-    contact = annihilator_frame([form(CH, "-y", 0, 1)])
-    assert cauchy_characteristic(contact).generic_rank == 0
-
-
-def test_cauchy_integrable_distribution_is_itself():
-    d = Distribution(CH, (coordinate_field(CH, "x"), coordinate_field(CH, "y")))
-    c = cauchy_characteristic(d)
-    assert c.generic_rank == 2
-    assert spans_equal(list(c.frame), list(d.frame))
-
-
-def test_cauchy_of_jet_depth_two_span():
-    d = annihilator_frame(jet_forms())
-    steps, _ = derived_flag(d)
-    c = cauchy_characteristic(steps[1])
-    span = list(steps[1].frame)
-    assert span_contains(list(c.frame), coordinate_field(J21, "v1"))
-    for cf in c.frame:
-        assert span_contains(span, cf)
-        for f in steps[1].frame:
-            assert span_contains(span, lie_bracket(cf, f))
-
-
 def test_square_root_jet_model():
     d = annihilator_frame(jet_forms())
     plane = square_root_subdistribution(d)
@@ -223,7 +199,7 @@ def test_square_root_self_bracket_stays_inside():
         d = get_model(name).distribution()
         plane = square_root_subdistribution(d)
         a, b = plane.frame
-        assert span_contains(list(d.frame), lie_bracket(a, b))
+        assert d.echelon().contains(lie_bracket(a, b).coefficients)
 
 
 def test_square_root_unique_under_frame_change():

@@ -196,6 +196,28 @@ task classify D
     assert again.tasks == [("growth", ("D",)), ("classify", ("D",))]
 
 
+def test_round_trip_keeps_literals_past_the_digit_limit():
+    # CPython refuses int <-> text conversions past 4300 digits by default
+    big = "9" * 5000
+    model = load_model(f"""
+chart M(x, y)
+field X = @x + {big}*x^2*@y
+point p = ({"3" * 4400}/{"7" * 4500}, 1)
+""")
+    text = render_model(model)
+    assert f"{big}*x^2" in text
+    again = elaborate(parse(ModelSource(text, "<again>")))
+    assert again == model
+
+
+def test_numbers_are_decimal_digits_only():
+    # "²" is a digit to str.isdigit, but int() rejects it
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_scalar(Chart("M", ("x", "y")), "x + \u00b2")
+    assert (err.value.line, err.value.col) == (1, 5)
+    assert "unexpected character" in err.value.message
+
+
 def test_fields_can_reference_earlier_fields():
     model = load_model("""
 chart M(x, y, z)

@@ -1,14 +1,15 @@
 """Catalog models, parameter families, and the pair-lift construction."""
 
+import io
 import random
 
 import pytest
 
-from flagrank import Chart, PointClass, Verdict, VectorField, branch_classify, \
-    catalog_list, classify_generic, coordinate_field, derived_flag, emit_dsl, \
+from flagrank import Analysis, Chart, PointClass, Verdict, VectorField, \
+    branch_classify, catalog_list, coordinate_field, derived_flag, \
     eq3_parameter_chart, eq4_parameter_chart, get_model, lift_pair, load_model, \
-    model_elliptic_demo, model_eq3, model_eq4, model_eq5, model_eq6, \
-    model_g1_flat, model_hyperbolic_demo, model_j21, parse_scalar
+    model_eq3, model_eq4, parse_scalar
+from flagrank.cli import main
 from flagrank.errors import BadParameterSupport, LiftPreconditionFailed, \
     UnknownModel
 from util import rand_polynomial, sc, vf
@@ -32,10 +33,8 @@ def test_catalog_is_stable():
 
 
 def test_model_builders_agree_with_catalog():
-    assert model_j21().frame == get_model("j21").distribution().frame
-    assert model_eq5().frame == get_model("eq5").distribution().frame
-    assert model_eq6().frame == get_model("eq6").distribution().frame
-    assert model_g1_flat().frame == get_model("g1_flat").distribution().frame
+    assert model_eq3().frame == get_model("eq5").distribution().frame
+    assert model_eq4().frame == get_model("eq6").distribution().frame
 
 
 def test_models_have_growth_356():
@@ -45,8 +44,9 @@ def test_models_have_growth_356():
 
 
 def test_demo_models_classify():
-    assert classify_generic(model_elliptic_demo()) is PointClass.ELLIPTIC
-    assert classify_generic(model_hyperbolic_demo()) is PointClass.HYPERBOLIC
+    for name, expected in (("elliptic", PointClass.ELLIPTIC),
+                           ("hyperbolic", PointClass.HYPERBOLIC)):
+        assert Analysis(get_model(name).distribution()).generic_class() is expected
 
 
 def test_eq3_family_accepts_strings_and_ratfuncs():
@@ -124,7 +124,7 @@ def test_lift_of_perturbed_jet_pairs_is_nondegenerate():
         lifted = lift_pair(total_derivative(extra),
                            coordinate_field(JET5, "p3"),
                            coordinate_field(JET5, "p2"))
-        assert classify_generic(lifted) is PointClass.PARABOLIC_NONDEG
+        assert Analysis(lifted).generic_class() is PointClass.PARABOLIC_NONDEG
 
 
 def test_lift_third_order_style_pair_matches_flat_g0_model():
@@ -134,7 +134,7 @@ def test_lift_third_order_style_pair_matches_flat_g0_model():
     lifted = lift_pair(tot, coordinate_field(chart, "p2"),
                        coordinate_field(chart, "w"))
     report = branch_classify(lifted)
-    base = branch_classify(model_eq5())
+    base = branch_classify(model_eq3())
     assert report.verdict is base.verdict is Verdict.THEOREM3
     assert report.symbol_class is base.symbol_class
     assert report.b2_integrable == base.b2_integrable
@@ -149,9 +149,16 @@ def test_lift_fiber_name_avoids_collision():
     assert lifted.chart.variables[-1] == "s1"
 
 
+def emit(name):
+    out = io.StringIO()
+    assert main(["models", "emit", name], out=out) == 0
+    return out.getvalue()
+
+
 def test_emit_is_reparseable_and_stable():
     for spec in catalog_list():
-        text = emit_dsl(spec.name)
+        text = emit(spec.name)
+        assert text == spec.source
         model = load_model(text)
         assert model.primary_dist()[1].generic_rank == 3
-        assert emit_dsl(spec.name) == text
+        assert emit(spec.name) == text

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from flagrank import Chart, Distribution, FlagBranch, ParabolicFlag, PointClass, \
-    SymbolClass, Verdict, b2_integrable, bracket_span, branch_classify, \
-    completely_nondegenerate, coordinate_field, derived_flag, e_subdistribution, \
-    get_model, load_model, parabolic_flag, spans_equal, span_contains, \
-    symbol_algebra_at, symbol_d_function, verify_flag_relations
+from flagrank import Analysis, Chart, Distribution, FlagBranch, ParabolicFlag, \
+    PointClass, SymbolClass, Verdict, bracket_span, branch_classify, \
+    coordinate_field, derived_flag, e_subdistribution, frobenius_integrable, \
+    get_model, load_model, parabolic_flag, spans_equal, symbol_algebra_at, \
+    symbol_d_function, verify_flag_relations
 from flagrank.distribution import Distribution as Dist
 from flagrank.models import model_eq3, model_eq4
 from flagrank.errors import NotParabolic, NotParabolicNonDeg, RankUnexpected, \
@@ -146,8 +146,7 @@ def test_symbol_class_invariant_under_frame_scaling():
 def test_d_function_constant_models():
     for name, expected in (("eq5", "0"), ("eq6", "0"), ("g1_flat", "-1")):
         d = get_model(name).distribution()
-        flag = parabolic_flag(d)
-        assert symbol_d_function(d, flag).render() == expected
+        assert symbol_d_function(d).render() == expected
 
 
 def test_e_subdistribution_pde_model():
@@ -178,14 +177,14 @@ def test_e_subdistribution_rejects_corrupted_flag():
 
 
 def test_b2_integrability_split():
-    assert b2_integrable(get_model("eq5").distribution())
-    assert not b2_integrable(get_model("eq6").distribution())
-    assert b2_integrable(get_model("g1_flat").distribution())
+    for name, integrable in (("eq5", True), ("eq6", False), ("g1_flat", True)):
+        e_sub = Analysis(get_model(name).distribution()).e_sub
+        assert frobenius_integrable(e_sub) is integrable, name
 
 
 def test_completely_nondegenerate_catalog():
     for name in ("eq5", "eq6", "g1_flat"):
-        assert completely_nondegenerate(get_model(name).distribution())
+        assert Analysis(get_model(name).distribution()).completely_nondegenerate()
 
 
 def test_completely_nondegenerate_detects_growth_wall():
@@ -198,7 +197,7 @@ def test_completely_nondegenerate_detects_growth_wall():
     off_wall = growth_at(sub, PDE.point((1, 1, 1, 1, 1, 1)), steps)
     assert off_wall == growth.ranks
     assert on_wall != growth.ranks
-    assert not completely_nondegenerate(d, flag=flag)
+    assert not Analysis(d).completely_nondegenerate()
 
 
 def test_branch_verdicts():
@@ -231,10 +230,10 @@ def test_depth_four_closure_matches_symbol_class():
     for name in ("eq5", "eq6", "eq3_u2", "eq4_z", "g1_flat"):
         d = get_model(name).distribution()
         flag = parabolic_flag(d)
-        closed = all(span_contains(list(flag[5].frame), g)
+        closed = all(flag[5].echelon().contains(g.coefficients)
                      for g in bracket_span(list(flag[4].frame),
                                            list(flag[4].frame)))
-        is_g0 = symbol_d_function(d, flag).is_zero()
+        is_g0 = symbol_d_function(d).is_zero()
         assert closed == is_g0, name
 
 

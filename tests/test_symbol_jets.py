@@ -39,12 +39,10 @@ def symbolic_bracket_coordinates(fields):
 def assert_jets_match_symbolic(dist, n_points=2, seed=0):
     analysis = Analysis(dist)
     solved = symbolic_bracket_coordinates(analysis.symbol_fields)
-    stream = sample_points(dist.chart, seed)
     checked = 0
-    for _ in range(200):
+    for p in sample_points(dist.chart, seed, 200):
         if checked == n_points:
             break
-        p = next(stream)
         try:
             analysis.symbol_at(p)
         except (NotGrowth356, NotParabolicNonDeg, PoleAtPoint):

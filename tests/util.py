@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from flagrank import Distribution, Polynomial, RatFunc, VectorField, lie_bracket, \
-    parse_scalar
+from flagrank import AdaptedFrame, Distribution, Polynomial, RatFunc, VectorField, \
+    lie_bracket, parse_scalar
 from flagrank.linalg import fraction_rank
 
 
@@ -45,6 +45,18 @@ def brute_growth_at(dist, point, depth=4):
             break
         ranks.append(r)
     return tuple(ranks)
+
+
+def digits_value(digits):
+    """The integer a string of decimal digits spells, by Horner's rule.
+
+    It never calls ``int`` or ``str`` on more than one digit, so it checks
+    conversions past CPython's 4300-digit limit independently.
+    """
+    value = 0
+    for d in digits:
+        value = value * 10 + "0123456789".index(d)
+    return value
 
 
 def det(matrix):
@@ -92,6 +104,24 @@ def change_frame(dist, matrix):
     """Distribution respanned by a constant matrix acting on the frame."""
     fields = [combine(list(dist.frame), row) for row in matrix]
     return Distribution(dist.chart, fields)
+
+
+def transformed_frame(frame, y_scale=1, z_scale=1, basis=None):
+    """Adapted frame after rescaling Y and Z or changing (X1, X2).
+
+    ``basis`` is a 2x2 rational matrix of constants applied to (X1, X2); the
+    derived fields Y1, Y2 are recomputed so the result is again adapted.  The
+    frame-change oracle: the point class must not depend on these choices.
+    """
+    x1, x2 = frame.x1, frame.x2
+    if basis is not None:
+        (m11, m12), (m21, m22) = basis
+        n1 = x1.scale(m11) + x2.scale(m12)
+        n2 = x1.scale(m21) + x2.scale(m22)
+        x1, x2 = n1, n2
+    y = frame.y.scale(y_scale)
+    z = frame.z.scale(z_scale)
+    return AdaptedFrame(x1, x2, y, lie_bracket(y, x1), lie_bracket(y, x2), z)
 
 
 def rand_polynomial(chart, rng, max_terms=3, max_degree=2):
