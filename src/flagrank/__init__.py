@@ -5,8 +5,8 @@ growth vectors and derived flags, the square-root plane and the symmetric
 bracket form with its elliptic / hyperbolic / parabolic trichotomy, the
 parabolic flag with its relation checklist, graded symbol algebras with the
 normalized d-invariant, reduced-pair integrability, and the resulting branch
-verdict, together with a model catalog, a model-definition language, and a
-deterministic CLI.
+verdict, together with a model catalog, a model-definition language whose
+one-pass reader builds each value as it reads it, and a deterministic CLI.
 """
 
 __version__ = "1.0.0"
@@ -21,8 +21,7 @@ from .classification import AdaptedFrame, BracketForm, PointClass, \
 from .distribution import Distribution, GrowthVector, annihilator_frame, \
     bracket_span, derived_flag, frobenius_integrable, growth_at, span_reduce, \
     spans_equal, square_root_subdistribution
-from .dsl import Model, ModelSource, elaborate, load_model, parse, parse_scalar, \
-    render_model
+from .dsl import Model, ModelSource, load_model, parse_scalar, render_model
 from .linalg import Echelon, kernel_basis, rank_generic, solve_in_span
 from .models import ModelSpec, catalog_list, eq3_parameter_chart, eq3_source, \
     eq4_parameter_chart, eq4_source, get_model, lift_pair, model_eq3, model_eq4

@@ -846,7 +846,9 @@ class RatFunc:
         return partials
 
     def _partial(self, var):
-        """The quotient rule: the one place a partial is computed."""
+        """The quotient rule, symbolically: the one place a ``RatFunc``
+        partial is built.  ``parabolic._partials_at`` applies the same rule
+        at a point, to integer values, and builds no ``RatFunc``."""
         dn = self.num.derivative(var)
         if self.den.is_one():
             return RatFunc._reduced(dn, self.den)

@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import PointQ
+from .algebra import PointQ, decimal_to_int
 from .distribution import growth_at
 from .dsl import TASK_NAMES, ModelSource, load_model
 from .errors import FlagrankError, ModelError, PreconditionError, \
@@ -43,13 +44,26 @@ _EXIT_INTERNAL = 5
 DEFAULT_TASKS = ("branch",)
 
 
+_INTEGER_RATIO = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
+
+
+def _coordinate(text):
+    """``Fraction(text)``, reading ``n`` and ``n/d`` past the 4300-digit limit."""
+    match = _INTEGER_RATIO.fullmatch(text)
+    if match is None:
+        return Fraction(text)  # decimals and exponents, such as 0.5 or 1e1
+    sign, num, den = match.groups()
+    value = Fraction(decimal_to_int(num), decimal_to_int(den) if den else 1)
+    return -value if sign == "-" else value
+
+
 def _parse_point_text(chart, text):
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     parts = [p.strip() for p in body.split(",")] if body else []
     try:
-        coords = [Fraction(p) for p in parts]
+        coords = [_coordinate(p) for p in parts]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--point {text!r}: coordinates must be rational "
                          "numbers such as -3 or 1/2") from None

@@ -1,8 +1,8 @@
 """Bundled coordinate models with their expected classification outcomes.
 
-Every builtin is defined by model-language source text and elaborated through
-the parser, so ``models emit`` output and the analyzed object can never
-drift apart.  The two PDE families take an arbitrary polynomial parameter
+Every builtin is defined by model-language source text and built by
+``dsl.load_model`` as it reads that text, so ``models emit`` output and the
+analyzed object can never drift apart.  The two PDE families take an arbitrary polynomial parameter
 function; their classification outcome is independent of it.
 """
 

@@ -118,6 +118,30 @@ def test_malformed_request_exits_2_before_any_analysis(monkeypatch, tasks, point
     assert text.startswith("error [UsageError]: ")
 
 
+@pytest.mark.parametrize("point, rendered", [
+    ("(0.5,1e1,+3,0,0,0)", "(1/2, 10, 3, 0, 0, 0)"),
+    # CPython refuses int <-> text conversions past 4300 digits by default
+    (f"({'7' * 5000},0,0,0,0,0)", f"({'7' * 5000}, 0, 0, 0, 0, 0)"),
+    (f"(-{'7' * 5000}/1{'0' * 4400},0,0,0,0,0)",
+     f"(-{'7' * 5000}/1{'0' * 4400}, 0, 0, 0, 0, 0)"),
+], ids=["decimal", "integer", "ratio"])
+def test_point_coordinates_are_exact(point, rendered):
+    code, text = run_cli(["analyze", "--builtin", "eq5", "--tasks", "growth",
+                          "--point", point, "--format", "json"])
+    assert code == 0, text
+    assert json.loads(text)["results"]["growth"]["at_point"]["point"] == rendered
+
+
+def test_repeated_chart_variable_exits_2(monkeypatch):
+    code, text = run_cli(["analyze", "-", "--tasks", "growth", "--format", "json"],
+                         stdin_text="chart M(x, x, y)\nfield X = @x\n",
+                         monkeypatch=monkeypatch)
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "DuplicateName"
+    assert error["message"].startswith("<stdin>:1:12: ")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--tasks", ",,"], "--tasks ',,' names no task"),
     (["--tasks", " , "], "--tasks ' , ' names no task"),

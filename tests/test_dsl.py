@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagrank import Chart, catalog_list, elaborate, load_model, parse, \
-    parse_scalar, render_model
+from flagrank import Chart, catalog_list, load_model, parse_scalar, render_model
 from flagrank.dsl import TASK_NAMES, ModelSource
 from flagrank.errors import ArityError, DegenerateFrame, DuplicateName, \
     InconsistentChart, ModelSyntaxError, TypeMismatch, UnknownIdentifier
@@ -77,7 +76,7 @@ field X = @x    # another
 
 def test_syntax_error_carries_position():
     with pytest.raises(ModelSyntaxError) as err:
-        parse(ModelSource("chart M(x\nfield X = @x\n", "m.dist"))
+        load_model(ModelSource("chart M(x\nfield X = @x\n", "m.dist"))
     assert err.value.origin == "m.dist"
     assert err.value.line == 1
     assert err.value.col >= 9
@@ -113,6 +112,13 @@ def test_type_mismatch_field_declared_as_scalar():
 def test_duplicate_name_rejected():
     with pytest.raises(DuplicateName):
         load_model("chart M(x, y)\nfield X = @x\nform X = d(y)\n")
+
+
+def test_repeated_chart_variable_is_a_duplicate_name():
+    with pytest.raises(DuplicateName) as err:
+        load_model(ModelSource("chart M(x, x, y)\nfield X = @x\n", "m.dist"))
+    assert (err.value.line, err.value.col) == (1, 12)
+    assert "'x'" in err.value.message
 
 
 def test_second_chart_rejected():
@@ -177,7 +183,7 @@ def test_round_trip_catalog_models():
     for spec in catalog_list():
         model = spec.model()
         text = render_model(model)
-        again = elaborate(parse(ModelSource(text, model.origin)))
+        again = load_model(ModelSource(text, model.origin))
         assert again == model, spec.name
 
 
@@ -191,7 +197,7 @@ point p = (1/2, -2, 0)
 task growth D
 task classify D
 """)
-    again = elaborate(parse(ModelSource(render_model(model), "<again>")))
+    again = load_model(ModelSource(render_model(model), "<again>"))
     assert again == model
     assert again.tasks == [("growth", ("D",)), ("classify", ("D",))]
 
@@ -206,7 +212,7 @@ point p = ({"3" * 4400}/{"7" * 4500}, 1)
 """)
     text = render_model(model)
     assert f"{big}*x^2" in text
-    again = elaborate(parse(ModelSource(text, "<again>")))
+    again = load_model(ModelSource(text, "<again>"))
     assert again == model
 
 
