@@ -30,6 +30,13 @@ The layout depends only on n, so equal but distinct charts pack alike.
 and the public ``Polynomial(chart, {exponents: c})`` packs its keys.  A
 total degree must stay below 2^31, so no field can carry into the next:
 reaching the bound raises ``DegreeOverflow`` and never wraps.
+
+Fractions are reduced by ``poly_gcd``, which is exact and has no slow cliff:
+operands with a variable on one side only split into coefficient gcds,
+coprime operands are certified by one image mod 2^61 - 1 per variable, and
+what is left goes to the integer-evaluation heuristic and then to Brown's
+dense modular gcd, each proved by trial division.  The quotient rule takes
+no gcd against den^2 (see ``RatFunc._partial``).
 """
 
 from __future__ import annotations
@@ -224,12 +231,17 @@ class Polynomial:
         return g
 
     def variables_used(self):
+        variables = self.chart.variables
+        return {variables[i] for i in self._used()}
+
+    def _used(self):
+        """The indices of the variables some term contains."""
         # a field of the OR of all keys is nonzero iff some term uses it
         used = 0
         for key in self.terms:
             used |= key
-        chart = self.chart
-        return {v for v, s in zip(chart.variables, chart._shifts) if (used >> s) & _FIELD}
+        return frozenset(i for i, s in enumerate(self.chart._shifts)
+                         if (used >> s) & _FIELD)
 
     def __neg__(self):
         return Polynomial._packed(self.chart, {k: -c for k, c in self.terms.items()})
@@ -437,10 +449,24 @@ class Polynomial:
 def poly_gcd(f, g):
     """GCD over the integers, positive graded-lex leading coefficient.
 
-    Fast path: strip the common monomial and integer content, then run the
-    integer-evaluation heuristic (candidates are certified by exact trial
-    division).  The certified primitive-remainder-sequence algorithm is kept
-    as the fallback for the rare heuristic failure.
+    After the common monomial and the common integer content are stripped,
+    four exact steps run, cheapest first:
+
+    1. Shared-variable split.  A common divisor contains only variables
+       that both operands use.  When some variable occurs in one operand
+       only, the gcd is the gcd of both operands' coefficients, read as
+       polynomials in the variables outside that shared set; it is the
+       integer content gcd when no variable is shared.
+    2. Coprimality certificate.  For each shared variable v the other
+       variables get fixed values mod p = 2^61 - 1.  If one operand's
+       leading coefficient in v stays nonzero there, the gcd's does too
+       (it divides it), so a constant F_p[v] gcd of the two images proves
+       deg_v gcd = 0.  When every v passes, the gcd is a constant; an
+       image never decides anything else.
+    3. The integer-evaluation heuristic, whose candidates are proved by
+       exact trial division.
+    4. When the heuristic gives up, Brown's dense modular gcd
+       (``_brown_gcd``), also proved by trial division.
     """
     _require_same_chart(f, g)
     if f is g or f == g:
@@ -460,9 +486,7 @@ def poly_gcd(f, g):
     if content > 1:
         f = Polynomial._packed(chart, {k: c // content for k, c in f.terms.items()})
         g = Polynomial._packed(chart, {k: c // content for k, c in g.terms.items()})
-    result = _heuristic_gcd(f, g)
-    if result is None:
-        result = _prs_entry(f, g)
+    result = _coprime_content_gcd(f, g)
     if mono is not None:
         result = result * mono
     if content > 1:
@@ -562,53 +586,353 @@ def _divides(candidate, poly):
     return True
 
 
-def _prs_entry(f, g):
-    occupied = [i for i in range(f.chart.dimension)
-                if f._deg_in(i) > 0 or g._deg_in(i) > 0]
-    v = occupied[-1]
-    fc, fp = _univ_content_primitive(f, v)
-    gc, gp = _univ_content_primitive(g, v)
-    cont = poly_gcd(fc, gc)
-    return (cont * _primitive_prs(fp, gp, v)).sign_normalized()
+def _coprime_content_gcd(f, g):
+    """gcd of nonconstant f and g whose integer contents are coprime."""
+    used_f, used_g = f._used(), g._used()
+    shared = used_f & used_g
+    if not shared:
+        return Polynomial.one(f.chart)
+    if used_f != used_g:
+        return _gcd_fold(_coefficients(f, used_f - shared)
+                         + _coefficients(g, used_g - shared))
+    if _coprime_mod_p(f, g, sorted(shared)):
+        return Polynomial.one(f.chart)
+    result = _heuristic_gcd(f, g)
+    return _brown_gcd(f, g) if result is None else result
 
 
-def _univ_content_primitive(f, v):
-    coeffs = f._univ_coeffs(v)
-    content = Polynomial.zero(f.chart)
-    for k in sorted(coeffs):
-        content = poly_gcd(content, coeffs[k])
-        if content.is_one():
+def _coefficients(poly, indices):
+    """The coefficients of ``poly`` read as a polynomial in the variables
+    ``indices``: polynomials in the other variables."""
+    shifts, units = poly.chart._shifts, poly.chart._units
+    groups = {}
+    for k, c in poly.terms.items():
+        rest = k
+        for i in indices:
+            rest -= ((k >> shifts[i]) & _FIELD) * units[i]
+        groups.setdefault(k - rest, {})[rest] = c
+    return [Polynomial._packed(poly.chart, terms) for terms in groups.values()]
+
+
+def _gcd_fold(polys):
+    """The gcd of nonempty ``polys``, smallest first; it stops at one."""
+    polys = sorted(polys, key=lambda p: len(p.terms))
+    result = polys[0].sign_normalized()
+    for p in polys[1:]:
+        if result.is_one():
             break
-    return content, f.divexact(content)
+        result = poly_gcd(result, p)
+    return result
 
 
-def _v_power(chart, v, k):
-    return Polynomial._packed(chart, {k * chart._units[v]: 1})
+_PRIME = (1 << 61) - 1
 
 
-def _pseudo_rem(a, b, v):
-    db = b._deg_in(v)
-    lcb = b._univ_coeffs(v)[db]
-    r = a
-    while not r.is_zero() and r._deg_in(v) >= db:
-        dr = r._deg_in(v)
-        lcr = r._univ_coeffs(v)[dr]
-        r = lcb * r - lcr * _v_power(r.chart, v, dr - db) * b
-    return r
+def _coprime_mod_p(f, g, indices):
+    """True when images mod p prove that gcd(f, g) has degree 0 in each of
+    ``indices``, the variables that f and g contain.
+
+    Every other variable gets a fixed residue.  lc_v(gcd) divides lc_v(f)
+    and lc_v(g), so when either stays nonzero mod p the gcd's image keeps
+    its degree in v, and that image divides the F_p[v] gcd of the images.
+    """
+    point = [(i, _certificate_residue(i)) for i in indices]
+    for i in indices:
+        fi, gi = _image_mod(f, i, point), _image_mod(g, i, point)
+        # the last entry of each image is its leading coefficient in v
+        if not (fi[-1] or gi[-1]) \
+                or len(_gcd_univariate(_trim(fi), _trim(gi), _PRIME)) != 1:
+            return False
+    return True
 
 
-def _primitive_prs(a, b, v):
-    """GCD of polynomials primitive in ``v`` via the primitive remainder sequence."""
-    if a._deg_in(v) < b._deg_in(v):
-        a, b = b, a
+def _certificate_residue(i):
+    """The fixed residue the certificate gives variable i."""
+    return 0x9E3779B97F4A7C15 * (i + 1) % _PRIME
+
+
+def _image_mod(poly, i, point):
+    """Coefficients mod p of ``poly`` in variable i, lowest degree first,
+    with every other variable of ``point`` set to its residue."""
+    shifts = poly.chart._shifts
+    out = [0] * (poly._deg_in(i) + 1)
+    for k, c in poly.terms.items():
+        for j, value in point:
+            e = (k >> shifts[j]) & _FIELD
+            if e and j != i:
+                c = c * pow(value, e, _PRIME) % _PRIME
+        out[(k >> shifts[i]) & _FIELD] += c
+    return [c % _PRIME for c in out]
+
+
+# --- Brown's dense modular gcd (W. S. Brown, JACM 18, 1971) ---
+
+def _brown_gcd(f, g):
+    """gcd of nonzero f and g by Brown's dense modular algorithm.
+
+    The gcd's image mod each prime below 2^61 comes from ``_gcd_mod``,
+    scaled to gamma = igcd(lc f, lc g), which the true gcd's leading
+    coefficient divides.  Images whose leading monomial is above another's
+    are unlucky and dropped; the rest are combined by the Chinese remainder
+    theorem.  Once a prime leaves the symmetric lift unchanged, or all of
+    its coefficients lie below the square root of the modulus, its
+    primitive part is tried by exact division of f and g, which proves it.
+    """
+    chart = f.chart
+    cf, f = _strip_content(f)
+    cg, g = _strip_content(g)
+    content = Polynomial.constant(chart, _igcd(cf, cg))
+    indices = sorted(f._used() | g._used())
+    gamma = _igcd(f.leading()[1], g.leading()[1])
+    residues = lead = modulus = previous = None
+    for p in _primes():
+        if gamma % p == 0:
+            continue
+        image = _gcd_mod(_reduce_mod(f, p), _reduce_mod(g, p), indices, chart, p)
+        top = max(image)
+        if not top:
+            return content
+        scale = gamma % p
+        image = {k: c * scale % p for k, c in image.items()}
+        if lead is None or top < lead:
+            residues, lead, modulus, previous = image, top, p, None
+        elif top > lead:
+            continue
+        else:
+            inverse = pow(modulus, -1, p)
+            for k in residues.keys() | image.keys():
+                r = residues.get(k, 0)
+                residues[k] = r + modulus * ((image.get(k, 0) - r) * inverse % p)
+            modulus *= p
+        lifted = {k: c - modulus if 2 * c > modulus else c
+                  for k, c in residues.items() if c}
+        # a wrong lift has coefficients spread over the whole modulus
+        if lifted == previous or max(map(abs, lifted.values())) ** 2 < modulus:
+            candidate = _strip_content(Polynomial._packed(chart, lifted))[1]
+            if _divides(candidate, f) and _divides(candidate, g):
+                return candidate.sign_normalized() * content
+        previous = lifted
+
+
+def _primes():
+    """The primes below 2^61, largest first."""
+    n = _PRIME
     while True:
-        if b._deg_in(v) == 0:
-            return Polynomial.one(a.chart)
-        r = _pseudo_rem(a, b, v)
-        if r.is_zero():
-            return b.sign_normalized()
-        r = _univ_content_primitive(r, v)[1]
-        a, b = b, r
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact below 3 * 10^24."""
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _reduce_mod(poly, p):
+    """``poly`` as {packed key: residue mod p}, zero residues dropped."""
+    return {k: r for k, c in poly.terms.items() if (r := c % p)}
+
+
+def _gcd_mod(a, b, indices, chart, p):
+    """Monic gcd over F_p of nonzero a and b ({packed key: residue}) in the
+    variables ``indices``.
+
+    The last variable v is evaluated and interpolated.  Both operands are
+    made primitive over F_p[v]; gamma = gcd of their leading coefficients
+    bounds the leading coefficient of the gcd of the primitive parts.  Each
+    point alpha with gamma(alpha) != 0 gives a recursive image scaled to
+    gamma(alpha), interpolated in v.  After deg gamma + min deg_v points, or
+    once a point leaves the interpolant unchanged, its primitive part is
+    tried by exact division over F_p.
+    """
+    if not indices:
+        return {0: 1}
+    *rest, v = indices
+    s, unit = chart._shifts[v], chart._units[v]
+    if not rest:
+        gcd = _gcd_univariate(_split_mod(a, s, unit)[0], _split_mod(b, s, unit)[0], p)
+        return {e * unit: c for e, c in enumerate(gcd) if c}
+    a, b = _split_mod(a, s, unit), _split_mod(b, s, unit)
+    content_a, content_b = _content_mod(a, p), _content_mod(b, p)
+    content = _gcd_univariate(content_a, content_b, p)
+    if len(content_a) > 1:
+        a = {k: _divmod_univariate(u, content_a, p)[0] for k, u in a.items()}
+    if len(content_b) > 1:
+        b = {k: _divmod_univariate(u, content_b, p)[0] for k, u in b.items()}
+    gamma = _gcd_univariate(a[max(a)], b[max(b)], p)
+    bound = len(gamma) + min(max(map(len, a.values())), max(map(len, b.values()))) - 2
+    interpolant = lead = None
+    alpha = 0
+    while True:
+        alpha += 1
+        scale = _horner(gamma, alpha, p)
+        if not scale:
+            continue
+        image = _gcd_mod(_at(a, alpha, p), _at(b, alpha, p), rest, chart, p)
+        top = max(image)
+        if not top:
+            # the primitive parts are coprime
+            return {e * unit: c for e, c in enumerate(content) if c}
+        if interpolant is None or top < lead:
+            interpolant = {k: [c * scale % p] for k, c in image.items()}
+            lead, points, changed = top, [p - alpha, 1], True
+        elif top > lead:
+            continue
+        else:
+            inverse = pow(_horner(points, alpha, p), -1, p)
+            changed = False
+            for k in interpolant.keys() | image.keys():
+                u = interpolant.get(k, [])
+                d = (image.get(k, 0) * scale - _horner(u, alpha, p)) * inverse % p
+                if d:
+                    changed = True
+                    u = _add_univariate(u, [d * m % p for m in points], p)
+                    if u:
+                        interpolant[k] = u
+                    else:
+                        del interpolant[k]
+            points = _mul_univariate(points, [p - alpha, 1], p)
+        if len(points) - 1 > bound or not changed:
+            primitive = _content_mod(interpolant, p)
+            if len(primitive) > 1:
+                interpolant = {k: _divmod_univariate(u, primitive, p)[0]
+                               for k, u in interpolant.items()}
+            candidate = _join(interpolant, unit)
+            if _divides_mod(candidate, _join(a, unit), chart, p) \
+                    and _divides_mod(candidate, _join(b, unit), chart, p):
+                result = _join({k: _mul_univariate(u, content, p)
+                                for k, u in interpolant.items()}, unit)
+                inverse = pow(result[max(result)], -1, p)
+                return {k: c * inverse % p for k, c in result.items()}
+
+
+def _split_mod(a, s, unit):
+    """{key without v: coefficient list in v, lowest first} for the variable
+    at shift ``s`` with unit key ``unit``."""
+    out = {}
+    for k, c in a.items():
+        e = (k >> s) & _FIELD
+        u = out.setdefault(k - e * unit, [])
+        if len(u) <= e:
+            u.extend([0] * (e + 1 - len(u)))
+        u[e] = c
+    return out
+
+
+def _join(split, unit):
+    """The inverse of ``_split_mod``."""
+    return {k + e * unit: c for k, u in split.items() for e, c in enumerate(u) if c}
+
+
+def _content_mod(split, p):
+    """The monic gcd of a split polynomial's coefficient lists."""
+    content = []
+    for u in split.values():
+        content = _gcd_univariate(content, u, p)
+        if len(content) == 1:
+            break
+    return content
+
+
+def _at(split, alpha, p):
+    """A split polynomial with its variable set to ``alpha``."""
+    return {k: r for k, u in split.items() if (r := _horner(u, alpha, p))}
+
+
+def _divides_mod(divisor, a, chart, p):
+    """True when ``divisor`` divides ``a`` over F_p."""
+    rem = dict(a)
+    lead = max(divisor)
+    inverse = pow(divisor[lead], -1, p)
+    guard = chart._guard
+    while rem:
+        top = max(rem)
+        # every field of top - lead is nonnegative iff no guard bit borrows
+        if ((top | guard) - lead) & guard != guard:
+            return False
+        q, diff = rem[top] * inverse % p, top - lead
+        for k, c in divisor.items():
+            k += diff
+            r = (rem.get(k, 0) - q * c) % p
+            if r:
+                rem[k] = r
+            else:
+                rem.pop(k, None)
+    return True
+
+
+# --- dense univariate arithmetic over F_p: coefficient lists, lowest first,
+# no trailing zeros ---
+
+def _trim(u):
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _horner(u, x, p):
+    value = 0
+    for c in reversed(u):
+        value = (value * x + c) % p
+    return value
+
+
+def _add_univariate(u, w, p):
+    if len(u) < len(w):
+        u, w = w, u
+    out = list(u)
+    for i, c in enumerate(w):
+        out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+def _mul_univariate(u, w, p):
+    out = [0] * (len(u) + len(w) - 1)
+    for i, c in enumerate(u):
+        for j, d in enumerate(w):
+            out[i + j] += c * d
+    return [c % p for c in out]
+
+
+def _divmod_univariate(u, d, p):
+    """Quotient and remainder of ``u`` by nonzero ``d``."""
+    n = len(d) - 1
+    rem = list(u)
+    if len(rem) <= n:
+        return [], rem
+    inverse = 1 if d[-1] == 1 else pow(d[-1], -1, p)
+    quotient = [0] * (len(rem) - n)
+    for shift in range(len(rem) - 1 - n, -1, -1):
+        q = rem[shift + n] * inverse % p
+        if q:
+            quotient[shift] = q
+            for i in range(n):
+                rem[shift + i] = (rem[shift + i] - q * d[i]) % p
+    return quotient, _trim(rem[:n])
+
+
+def _gcd_univariate(u, w, p):
+    """The monic gcd of two coefficient lists over F_p; [] when both are zero."""
+    while w:
+        u, w = w, _divmod_univariate(u, w, p)[1]
+    if u and u[-1] != 1:
+        inverse = pow(u[-1], -1, p)
+        u = [c * inverse % p for c in u]
+    return u
 
 
 class RatFunc:
@@ -848,12 +1172,35 @@ class RatFunc:
     def _partial(self, var):
         """The quotient rule, symbolically: the one place a ``RatFunc``
         partial is built.  ``parabolic._partials_at`` applies the same rule
-        at a point, to integer values, and builds no ``RatFunc``."""
-        dn = self.num.derivative(var)
-        if self.den.is_one():
-            return RatFunc._reduced(dn, self.den)
-        dd = self.den.derivative(var)
-        return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
+        at a point, to integer values, and builds no ``RatFunc``.
+
+        No gcd runs against den^2.  A den free of v gives n_v/den, reduced
+        against den.  Otherwise den = a*b, where a is den's content free of
+        v; with g = gcd(b, b_v), b = g*bt and b_v = g*bp, the partial is
+        (n_v*bt - n*bp) / (a*g*bt^2).  Each irreducible factor of b contains
+        v, divides bt once and divides neither bp nor n (num and den are
+        coprime), so it does not divide the top: only a can share a factor
+        with it."""
+        num, den = self.num, self.den
+        dn = num.derivative(var)
+        if den.is_one():
+            return RatFunc._reduced(dn, den)
+        i = self.chart.index(var)
+        if not den._deg_in(i):
+            return RatFunc(dn, den)
+        a = _gcd_fold(den._univ_coeffs(i).values())
+        b = den if a.is_one() else den.divexact(a)
+        db = b.derivative(var)
+        g = poly_gcd(b, db)
+        bt, bp = (b, db) if g.is_one() else (b.divexact(g), db.divexact(g))
+        top = dn * bt - num * bp
+        bottom = g * bt * bt
+        if not a.is_one():
+            e = poly_gcd(top, a)
+            if not e.is_one():
+                top, a = top.divexact(e), a.divexact(e)
+            bottom = a * bottom
+        return RatFunc._reduced(top, bottom)
 
     def derivative(self, var):
         i = self.chart.index(var)

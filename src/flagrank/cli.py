@@ -44,16 +44,24 @@ _EXIT_INTERNAL = 5
 DEFAULT_TASKS = ("branch",)
 
 
-_INTEGER_RATIO = re.compile(r"([-+]?)(\d+)(?:/(\d+))?")
+# an integer, a ratio n/d, or a decimal such as -1.25e3 or .5
+_NUMBER = re.compile(r"([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)")
 
 
 def _coordinate(text):
-    """``Fraction(text)``, reading ``n`` and ``n/d`` past the 4300-digit limit."""
-    match = _INTEGER_RATIO.fullmatch(text)
+    """``Fraction(text)``, reading its digits past the 4300-digit limit."""
+    match = _NUMBER.fullmatch(text)
     if match is None:
-        return Fraction(text)  # decimals and exponents, such as 0.5 or 1e1
-    sign, num, den = match.groups()
-    value = Fraction(decimal_to_int(num), decimal_to_int(den) if den else 1)
+        return Fraction(text)  # other spellings Fraction reads, such as 1_000
+    sign, whole, den, frac, exp = match.groups()
+    if den is not None:
+        value = Fraction(decimal_to_int(whole), decimal_to_int(den))
+    else:
+        frac = frac or ""
+        digits = decimal_to_int(whole + frac)
+        scale = int(exp or 0) - len(frac)
+        value = Fraction(digits * 10 ** scale) if scale >= 0 \
+            else Fraction(digits, 10 ** -scale)
     return -value if sign == "-" else value
 
 

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flagrank import Chart, Polynomial, RatFunc, catalog_list, cli
-from flagrank.algebra import _heuristic_gcd, _prs_entry, decimal_to_int, \
-    int_to_decimal, poly_gcd
+from flagrank.algebra import _brown_gcd, _certificate_residue, _coprime_mod_p, \
+    _heuristic_gcd, decimal_to_int, int_to_decimal, poly_gcd
 from flagrank.errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
     PreconditionError, UnknownVariable
-from util import digits_value, grlex, ref_add, ref_derivative, ref_div, ref_mul, ref_neg, ref_sub, sc, \
-    sparse_ratfuncs, tuple_add, tuple_derivative, tuple_divexact, tuple_eval_var, \
-    tuple_leading, tuple_mul, tuple_render, tuple_total_degree, tuple_univ_coeffs, unpacked
+from util import _prs_entry, digits_value, grlex, prs_gcd, ref_add, ref_derivative, \
+    ref_div, ref_mul, ref_neg, ref_sub, sc, sparse_ratfuncs, tuple_add, tuple_derivative, \
+    tuple_divexact, tuple_eval_var, tuple_leading, tuple_mul, tuple_render, \
+    tuple_total_degree, tuple_univ_coeffs, unpacked
 
 CH = Chart("A", ("x", "y", "z"))
 CH6 = Chart("B", ("u1", "u2", "u3", "x", "y", "z"))
@@ -286,6 +287,98 @@ def test_heuristic_gcd_gives_up_on_huge_coefficients():
     f, g = h * (y + one), h * (y - one)
     assert _heuristic_gcd(f, g) is None
     assert poly_gcd(f, g) == h
+
+
+# --- each exact step of poly_gcd against the PRS twin ---
+
+def _polys_in(variables):
+    """Nonzero polynomials of up to three terms in the variable indices given."""
+    exps = st.tuples(*[st.integers(0, 2) if i in variables else st.just(0)
+                       for i in range(3)])
+    coefficients = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+    return st.dictionaries(exps, coefficients, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(CH, terms))
+
+
+@st.composite
+def _one_sided_pairs(draw):
+    """h*a and h*b where some variable occurs in one operand only."""
+    roles = draw(st.tuples(*[st.sampled_from("sfgn")] * 3))
+    shared = {i for i, r in enumerate(roles) if r == "s"}
+    h = draw(_polys_in(shared))
+    a = draw(_polys_in(shared | {i for i, r in enumerate(roles) if r == "f"}))
+    b = draw(_polys_in(shared | {i for i, r in enumerate(roles) if r == "g"}))
+    f, g = h * a, h * b
+    assume(f._used() != g._used())
+    return f, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_one_sided_pairs())
+def test_shared_variable_split_matches_prs(pair):
+    f, g = pair
+    assert poly_gcd(f, g) == prs_gcd(f, g)
+    assert poly_gcd(g, f) == prs_gcd(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys_in({0, 1, 2}), _polys_in({0, 1, 2}), _polys_in({0, 1, 2}))
+def test_coprimality_certificate_matches_prs(h, a, b):
+    for f, g in ((a, b), (h * a, h * b)):
+        expected = prs_gcd(f, g)
+        if f._used() == g._used() and _coprime_mod_p(f, g, sorted(f._used())):
+            assert expected.is_constant()
+        assert poly_gcd(f, g) == expected
+
+
+def test_coprimality_certificate_passes_and_refuses():
+    x, y, z = (Polynomial.variable(CH, v) for v in "xyz")
+    one = Polynomial.one(CH)
+    assert _coprime_mod_p(one + z * z, z * 2, [2])
+    assert _coprime_mod_p(x * y + one, x * y - one, [0, 1])
+    rx, ry = (Polynomial.constant(CH, _certificate_residue(i)) for i in (0, 1))
+    # every leading coefficient of h vanishes at the certificate's point,
+    # so each image of h there is one and the images of f and g are coprime
+    h = (x - rx) * (y - ry) * z + one
+    f = h * (x + y + z + Polynomial.constant(CH, 2))
+    g = h * (x - y + z * 2 + Polynomial.constant(CH, 3))
+    assert not _coprime_mod_p(f, g, [0, 1, 2])
+    assert poly_gcd(f, g) == h == prs_gcd(f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_nonconstant_polys(), _polys().filter(lambda p: not p.is_zero()),
+       _polys().filter(lambda p: not p.is_zero()), st.integers(1, 6))
+def test_brown_gcd_matches_prs(h, a, b, scale):
+    f, g = h * a * scale, h * b
+    assert _brown_gcd(f, g) == prs_gcd(f, g)
+    assert _brown_gcd(a, b) == prs_gcd(a, b)
+
+
+def test_brown_gcd_on_huge_coefficients():
+    x = Polynomial.variable(CH, "x")
+    y = Polynomial.variable(CH, "y")
+    z = Polynomial.variable(CH, "z")
+    one = Polynomial.one(CH)
+    h = x ** 3 + Polynomial.constant(CH, 2 ** 4100 + 1)
+    assert _brown_gcd(h * (y + one), h * (y - one)) == h
+    # a leading coefficient of many primes and an integer content
+    k = (x * y * Polynomial.constant(CH, 3 ** 200) + z) * Polynomial.constant(CH, 6)
+    f, g = k * (x + z), k * (y * y - x) * Polynomial.constant(CH, 4)
+    assert _brown_gcd(f, g) == poly_gcd(f, g) == prs_gcd(f, g)
+
+
+@pytest.mark.parametrize("text, var", [
+    ("x/(y + 1)", "x"),  # den free of v: one gcd against den
+    ("1/(y^2*z + y)", "z"),  # its content y shares a factor with the top
+    ("1/(2*x^2 + 2)", "x"),  # its content 2 divides the top
+    ("(x + 1)/((x*y - 1)^2*(x + y))", "x"),  # gcd(b, b_v) = x*y - 1
+    ("(z - 1)/(4*y*(x*z + 1)^3)", "z"),
+    ("y/(3*x^2 - 2*x*z)", "x"),
+])
+def test_quotient_rule_branches_match_full_constructor(text, var):
+    f = sc(CH, text)
+    _same(f.derivative(var), ref_derivative(f, var))
 
 
 # --- zero and one fast paths against the full constructor ---

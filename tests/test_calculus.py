@@ -131,3 +131,10 @@ def test_brackets_over_shared_coefficients_match_reference(g, a, b, c):
             assert field.apply(f) == _ref_apply(field, f)
     for left, right in ((x, y), (y, x), (x, z), (z, y), (y, y)):
         assert lie_bracket(left, right) == ref_lie_bracket(left, right)
+
+
+def test_reference_bracket_over_three_term_denominators():
+    # the unshortcut reference once ran for minutes in poly_gcd on this pair
+    x = vf(CH, "(-x*y^2 - 4*x*y)/(2*x*y*z - 4*y^2*z + x)", 0, 1)
+    y = vf(CH, "(-x*y)/(x^2*y^2*z^2 + 2*x^2 + 4*y^2)", "3/2", 0)
+    assert lie_bracket(x, y) == ref_lie_bracket(x, y)

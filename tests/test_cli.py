@@ -132,6 +132,22 @@ def test_point_coordinates_are_exact(point, rendered):
     assert json.loads(text)["results"]["growth"]["at_point"]["point"] == rendered
 
 
+@pytest.mark.parametrize("point, rendered", [
+    (f"(0.{'7' * 5000},0,0,0,0,0)", f"({'7' * 5000}/1{'0' * 5000}, 0, 0, 0, 0, 0)"),
+    (f"(-{'7' * 4999}.7e-1,0,0,0,0,0)", f"(-{'7' * 5000}/100, 0, 0, 0, 0, 0)"),
+    (f"(.{'0' * 4999}5E4999,0,0,0,0,0)", "(1/2, 0, 0, 0, 0, 0)"),
+], ids=["fraction-digits", "exponent", "leading-zeros"])
+def test_long_decimal_point_coordinates_are_exact(point, rendered):
+    # the expected text is built from digit strings: no int past 4300 digits
+    # is ever converted to text here
+    code, text = run_cli(["analyze", "--builtin", "eq5", "--tasks", "growth",
+                          "--point", point, "--format", "json"])
+    assert code == 0, text[:200]
+    at_point = json.loads(text)["results"]["growth"]["at_point"]
+    assert at_point["point"] == rendered
+    assert at_point["ranks"] == [3, 5, 6]
+
+
 def test_repeated_chart_variable_exits_2(monkeypatch):
     code, text = run_cli(["analyze", "-", "--tasks", "growth", "--format", "json"],
                          stdin_text="chart M(x, x, y)\nfield X = @x\n",

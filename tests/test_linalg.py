@@ -186,14 +186,15 @@ def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2),
        st.lists(st.integers(0, 6), min_size=1, max_size=3),
-       st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=4))
+       st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=4),
+       st.booleans())
 def test_one_pass_prefix_ranks_match_fraction_rank(seed, independent, extra, zeros,
-                                                   points):
+                                                   points, functions):
     rng = random.Random(seed)
-    # integer combinations: a prefix of function combinations alone can take
-    # minutes to rank generically (the poly_gcd cliff)
-    rows = _rank_deficient_rows(rng, independent, extra,
-                                lambda chart, draw: chart.const(draw.randint(-2, 2)))
+    # extra rows combine the others with function or integer coefficients
+    rows = _rank_deficient_rows(
+        rng, independent, extra,
+        rand_ratfunc if functions else lambda chart, draw: chart.const(draw.randint(-2, 2)))
     for at in zeros:
         rows.insert(min(at, len(rows)), [CH.zero()] * 3)
     sizes = sorted(rng.sample(range(len(rows) + 1), rng.randint(1, 3)))
@@ -351,7 +352,7 @@ _vectors = st.lists(sparse_ratfuncs(CH, max_exponent=1), min_size=4, max_size=4)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_vectors, min_size=1, max_size=4), st.lists(_vectors, max_size=2))
+@given(st.lists(_vectors, min_size=1, max_size=5), st.lists(_vectors, max_size=2))
 def test_echelon_matches_unshortcut_reference(inserted, probes):
     fast, reference = Echelon(4), _ReferenceEchelon(4)
     for v in inserted:

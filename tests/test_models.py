@@ -77,6 +77,20 @@ def test_eq4_family_verdict_stable():
         assert report.equation_type is True
 
 
+# Members over a cubic or a three-term w denominator: w becomes u3 + y*z in
+# eq4, and the quotient rule's gcds on these used to run for minutes.
+@pytest.mark.parametrize("parameter", [
+    "x*u1/(2 + w^3)",
+    "x*u1/(1 + w^2 + x^2)",
+    "(x^3*u1 - 2*u2^2*z + w^2*x - 3*u1*w + z^3)/(1 + w^2 + x^2)",
+], ids=["cubic", "three-term", "three-term-dense"])
+def test_eq4_family_verdict_over_cubic_and_three_term_denominators(parameter):
+    report = branch_classify(model_eq4(parameter))
+    assert report.verdict is Verdict.THEOREM2
+    assert report.symbol_class.value == "g0"
+    assert report.equation_type is True
+
+
 def test_eq4_composite_argument():
     # the fifth parameter slot must be substituted, not read literally
     park = eq4_parameter_chart()

@@ -17,7 +17,7 @@ from flagrank.classification import sample_points
 from flagrank.errors import NotGrowth356, NotParabolicNonDeg, PoleAtPoint
 from flagrank.models import model_eq3, model_eq4
 from flagrank.parabolic import Analysis
-from util import family_parameter
+from util import FAMILY_VARIABLES, family_parameter
 
 PARABOLIC_NONDEG = ("eq5", "eq3_u2", "eq6", "eq4_z", "g1_flat")
 MODELS = {"eq3": model_eq3, "eq4": model_eq4}
@@ -58,13 +58,14 @@ def test_jets_match_symbolic_on_builtins(name):
     assert_jets_match_symbolic(get_model(name).distribution(), n_points=3)
 
 
-# Denominators 1 + w^2 stay out of the drawn members: in eq4, w becomes
-# u3 + y*z, and on parameters such as x*u1/(1 + w^2) the symbolic reference
-# itself runs for minutes.  Such members still need a reference that ends.
+# A denominator 1 + v^2 over any parameter variable v; in eq4, w becomes
+# u3 + y*z, so 1 + w^2 has three variables.
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from(("eq3", "eq4")), st.integers(0, 2 ** 32),
-       st.sampled_from((None, "x", "z")))
-def test_jets_match_symbolic_on_family_members(family, seed, denominator):
+@given(st.sampled_from(("eq3", "eq4")).flatmap(lambda family: st.tuples(
+           st.just(family), st.sampled_from((None,) + FAMILY_VARIABLES[family]))),
+       st.integers(0, 2 ** 32))
+def test_jets_match_symbolic_on_family_members(member, seed):
+    family, denominator = member
     parameter = family_parameter(random.Random(seed), family, denominator)
     assert_jets_match_symbolic(MODELS[family](parameter), seed=seed % 7)
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -195,12 +196,74 @@ def sparse_ratfuncs(chart, max_exponent=2):
         return st.dictionaries(exps, st.integers(-4, 4), max_size=max_terms).map(
             lambda terms: Polynomial(chart, terms))
 
-    # two-term denominators keep the unreduced reference products small
-    general = st.tuples(polys(3), polys(2).filter(lambda p: not p.is_zero())).map(
+    general = st.tuples(polys(3), polys(3).filter(lambda p: not p.is_zero())).map(
         lambda pair: RatFunc(*pair))
     constants = st.fractions(min_value=-2, max_value=2, max_denominator=2).map(
         lambda q: RatFunc.constant(chart, q))
     return st.one_of(st.just(chart.zero()), constants, general)
+
+
+# --- the primitive-remainder-sequence gcd: the slow exact twin of poly_gcd,
+# recursive into itself for contents ---
+
+def prs_gcd(f, g):
+    """GCD over the integers with a positive leading coefficient, by PRS."""
+    if f.is_zero():
+        return g.sign_normalized()
+    if g.is_zero():
+        return f.sign_normalized()
+    if f.is_constant() or g.is_constant():
+        return Polynomial.constant(f.chart, gcd(f.content(), g.content()))
+    return _prs_entry(f, g)
+
+
+def _prs_entry(f, g):
+    occupied = [i for i in range(f.chart.dimension)
+                if f._deg_in(i) > 0 or g._deg_in(i) > 0]
+    v = occupied[-1]
+    fc, fp = _univ_content_primitive(f, v)
+    gc, gp = _univ_content_primitive(g, v)
+    cont = prs_gcd(fc, gc)
+    return (cont * _primitive_prs(fp, gp, v)).sign_normalized()
+
+
+def _univ_content_primitive(f, v):
+    coeffs = f._univ_coeffs(v)
+    content = Polynomial.zero(f.chart)
+    for k in sorted(coeffs):
+        content = prs_gcd(content, coeffs[k])
+        if content.is_one():
+            break
+    return content, f.divexact(content)
+
+
+def _v_power(chart, v, k):
+    return Polynomial(chart, {tuple(k if i == v else 0 for i in range(chart.dimension)): 1})
+
+
+def _pseudo_rem(a, b, v):
+    db = b._deg_in(v)
+    lcb = b._univ_coeffs(v)[db]
+    r = a
+    while not r.is_zero() and r._deg_in(v) >= db:
+        dr = r._deg_in(v)
+        lcr = r._univ_coeffs(v)[dr]
+        r = lcb * r - lcr * _v_power(r.chart, v, dr - db) * b
+    return r
+
+
+def _primitive_prs(a, b, v):
+    """GCD of polynomials primitive in ``v`` via the primitive remainder sequence."""
+    if a._deg_in(v) < b._deg_in(v):
+        a, b = b, a
+    while True:
+        if b._deg_in(v) == 0:
+            return Polynomial.one(a.chart)
+        r = _pseudo_rem(a, b, v)
+        if r.is_zero():
+            return b.sign_normalized()
+        r = _univ_content_primitive(r, v)[1]
+        a, b = b, r
 
 
 # --- tuple-keyed polynomial reference: terms as {exponent tuple: coefficient},
