@@ -41,6 +41,7 @@ no gcd against den^2 (see ``RatFunc._partial``).
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd as _igcd, lcm
 
@@ -1349,17 +1350,37 @@ def _render_fraction(q):
 # CPython checks int <-> decimal text conversions only past 640 digits (the
 # limit, 4300 digits by default, may be set no lower); parts stay below that.
 _DIRECT_DIGITS = 600
+_DIRECT_BITS = 3 * _DIRECT_DIGITS  # 2^1800 has 542 digits
 
 
 def int_to_decimal(n):
-    """``str(n)`` for an integer of any size, split at powers of ten."""
+    """``str(n)`` for an integer of any size, in subquadratic time.
+
+    Parts of at most 1800 bits convert directly.  Larger ones are split at
+    a power of two and joined as ``high * 2^w + low`` in exact ``decimal``
+    arithmetic, whose products of large operands are fast; no step divides
+    by a power of ten.
+    """
     if n < 0:
         return "-" + int_to_decimal(-n)
-    if n.bit_length() <= 3 * _DIRECT_DIGITS:  # 2^1800 has 542 digits
+    if n.bit_length() <= _DIRECT_BITS:
         return str(n)
-    k = n.bit_length() * 3 // 20  # about half the digits of n
-    high, low = divmod(n, 10 ** k)
-    return int_to_decimal(high) + int_to_decimal(low).zfill(k)
+    powers = {}  # 2^w for each split width w
+
+    def convert(m, width):
+        if width <= _DIRECT_BITS:
+            return Decimal(m)
+        w = width >> 1
+        if w not in powers:
+            powers[w] = Decimal(2) ** w
+        high = m >> w
+        return convert(high, width - w) * powers[w] + convert(m - (high << w), w)
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.traps[Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def decimal_to_int(digits):

@@ -19,7 +19,7 @@ from .calculus import VectorField, coordinate_field, lie_bracket
 from .distribution import derived_flag, growth_at, square_root_subdistribution
 from .errors import ConsistencyError, NotGrowth356, PoleAtPoint, \
     SampleBudgetExhausted, SymmetryViolated
-from .linalg import Echelon, certified_rank, rank_generic
+from .linalg import Echelon, PointRank, rank_generic
 
 
 class PointClass(Enum):
@@ -51,10 +51,14 @@ class AdaptedFrame:
     def full(self):
         return [self.x1, self.x2, self.y, self.y1, self.y2, self.z]
 
+    @cached_property
+    def point_rank(self):
+        """The ``linalg.PointRank`` of the full frame, built on first use."""
+        return PointRank([f.coefficients for f in self.full()])
+
     def rank_at(self, point):
-        # a frame of the chart: its length bounds the rank at every point
-        full = self.full()
-        return certified_rank([f.coefficients for f in full], point, len(full))
+        # six fields: their number bounds the rank at every point
+        return self.point_rank.rank_at(point, 6)
 
 
 @dataclass(frozen=True)

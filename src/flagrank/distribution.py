@@ -1,14 +1,13 @@
 """Distributions, derived flags, growth vectors, and the square-root plane.
 
 A distribution is carried by a frame of vector fields; all span computations
-are generic (over the function field).  Pointwise ranks are a separate
-evaluation pass over the full generator lists, so points where a reduced
-basis happens to degenerate are still measured correctly, and a pole of any
-generator raises PoleAtPoint.  Every entry is evaluated exactly to a pair of
-integers.  The steps of a derived flag are nested prefixes of one generator
-list, so ``linalg.certified_prefix_ranks`` certifies every step's generic rank
-in one pass modulo a prime, and falls back to exact ``fraction_rank``
-elimination of a step's own rows where it cannot.
+are generic (over the function field).  Pointwise ranks read the full
+generator lists, so points where a reduced basis happens to degenerate are
+still measured correctly, and a pole of any generator raises PoleAtPoint.
+Each flag step keeps a ``linalg.PointRank`` of its generators, built on
+first use by a constant-pivot elimination; a point then costs a check of
+the generators' denominators and, rarely, a certified rank of the rows that
+elimination leaves.
 Generator lists hold each bracket once, up to sign (``bracket_span``,
 ``derived_flag``): a bracket that is zero or ± an earlier generator changes
 no span, no reduced basis and no rank at a point.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from .calculus import VectorField, lie_bracket, pairing
 from .errors import ChartMismatch, ConsistencyError, DependentForms, NotRank35
-from .linalg import Echelon, certified_prefix_ranks, kernel_basis, rank_generic
+from .linalg import Echelon, PointRank, kernel_basis, rank_generic
 
 
 class Distribution:
@@ -29,7 +28,7 @@ class Distribution:
     the generic basis selected from them.  An empty frame (rank 0) is allowed.
     """
 
-    __slots__ = ("chart", "frame", "generators", "_rank")
+    __slots__ = ("chart", "frame", "generators", "_rank", "_point_rank")
 
     def __init__(self, chart, frame, generators=None):
         frame = tuple(frame)
@@ -40,12 +39,20 @@ class Distribution:
         self.frame = frame
         self.generators = tuple(generators) if generators is not None else frame
         self._rank = None
+        self._point_rank = None
 
     @property
     def generic_rank(self):
         if self._rank is None:
             self._rank = rank_generic([f.coefficients for f in self.frame])
         return self._rank
+
+    @property
+    def point_rank(self):
+        """The ``linalg.PointRank`` of the generators, built on first use."""
+        if self._point_rank is None:
+            self._point_rank = PointRank([g.coefficients for g in self.generators])
+        return self._point_rank
 
     def echelon(self):
         return Echelon(self.chart.dimension,
@@ -158,8 +165,8 @@ def derived_flag(dist):
     generators step k added; brackets with older ones are already in the list
     up to sign, or zero.  Returned distributions carry reduced frames but keep
     the full generator lists for pointwise evaluation.  Each step's list is a
-    prefix of the next one's, which ``growth_at`` relies on, and one
-    elimination inserts each generator once.
+    prefix of the next one's, and one elimination inserts each generator
+    once.
     """
     chart = dist.chart
     gens = added = list(dist.frame)
@@ -173,7 +180,7 @@ def derived_flag(dist):
             break
         step = Distribution(chart, [VectorField(chart, r) for r in ech.rows], gens)
         # reduced echelon rows are independent, so the generic rank needs no
-        # elimination; growth_at certifies against it
+        # elimination; growth_at bounds its point ranks by it
         step._rank = ech.rank
         steps.append(step)
         ranks.append(ech.rank)
@@ -187,16 +194,13 @@ def derived_flag(dist):
 def growth_at(dist, point, steps=None):
     """Pointwise ranks of the (generically computed) flag steps.
 
-    The generators of the last step are evaluated once; each step's
-    generators are a prefix of those rows (see ``derived_flag``), and one
-    modular pass over them certifies every step's rank.
+    Each step's rank comes from the ``PointRank`` of its generators, built
+    once per step, against its generic rank; a pole of any generator raises
+    PoleAtPoint.
     """
     if steps is None:
         steps, _ = derived_flag(dist)
-    pairs = [[c.integer_pair(point) if c.num.terms else (0, 1) for c in g.coefficients]
-             for g in steps[-1].generators]
-    return certified_prefix_ranks(
-        pairs, [(len(step.generators), step.generic_rank) for step in steps])
+    return tuple(step.point_rank.rank_at(point, step.generic_rank) for step in steps)
 
 
 def frobenius_integrable(dist):

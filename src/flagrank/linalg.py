@@ -5,16 +5,22 @@ elimination serves every question: ``Echelon`` keeps a fully reduced row
 space with a deterministic pivot score that prefers nonzero *constant*
 entries, then low-complexity entries, then earlier columns; this choice keeps
 computed frames polynomial (and valid at the origin) whenever possible.
-Generic ranks, kernels and span coordinates are all read off it.  Ranks at a
-point are certified modulo a prime: one modular elimination certifies every
-nested prefix of a row list (the steps of a derived flag), and a prefix it
-cannot certify falls back to exact ``Fraction`` elimination of that prefix
-alone.  Coordinates at a point come from one ``Fraction`` elimination.
+Generic ranks, kernels and span coordinates are all read off it.
+
+Ranks at points come from ``PointRank``, built once per matrix: an
+elimination over the function field with nonzero constant pivots only,
+which stays valid at every point where no input entry has a pole.  A point
+then costs a check of the input's denominators, plus a rank certified
+modulo a prime (``certified_pair_rank``) of the residual rows, if any are
+left.  A rank the prime cannot certify falls back to exact ``Fraction``
+elimination.  Coordinates at a point come from one ``Fraction`` elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import ChartMismatch, PoleAtPoint
 
 
 def _pivot_score(value, col):
@@ -159,44 +165,77 @@ def fraction_solve(columns, targets):
 CERTIFICATE_PRIME = (1 << 61) - 1
 
 
-def certified_rank(rows, point, generic_rank):
-    """Exact rank at ``point`` of rows of RatFuncs of generic rank r.
+class PointRank:
+    """Exact ranks at points of one matrix of ``RatFunc`` rows.
 
-    Every entry is evaluated to an exact integer pair (n, d), so a pole
-    anywhere raises PoleAtPoint.  Modulo the prime p,
-    rank_p <= rank at the point <= r, so rank_p == r certifies r.  When it
-    does not (rank_p < r, or a denominator divisible by p), the answer is
-    ``fraction_rank`` of the exact values: a failed certificate costs time,
-    never exactness.  Any upper bound on the rank at the point may stand in
-    for r = ``generic_rank``.
+    Built once per matrix: Gaussian elimination over the function field with
+    nonzero constant pivots only.  Each multiplier is then an entry over a
+    constant, a polynomial expression in the input entries, so every row
+    operation is defined and invertible at each point where no input entry
+    has a pole.  With k such pivots, the rank at such a point is k plus the
+    rank there of the residual rows: the other rows on the non-pivot
+    columns, zero rows dropped.  A point therefore costs a check of the
+    distinct denominators of the input, and an evaluation of the residual
+    rows only when there are any.
     """
-    return certified_pair_rank([[f.integer_pair(point) for f in row] for row in rows],
-                               generic_rank)
+
+    __slots__ = ("chart", "denominators", "pivots", "residual")
+
+    def __init__(self, rows):
+        self.chart = rows[0][0].chart if rows and rows[0] else None
+        self.denominators = tuple({e.den: None for row in rows for e in row
+                                   if not e.den.is_one()})
+        rows = [list(row) for row in rows if not all(e.is_zero() for e in row)]
+        pivots = 0
+        while True:
+            found = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
+                          if e.num.terms and e.is_constant()), None)
+            if found is None:
+                break
+            i, col = found
+            pivot_row = rows.pop(i)
+            inverse = pivot_row.pop(col).reciprocal()
+            reduced = []
+            for row in rows:
+                c = row.pop(col)
+                if not c.is_zero():
+                    row = _eliminate(row, c * inverse, pivot_row)
+                if not all(e.is_zero() for e in row):
+                    reduced.append(row)
+            rows = reduced
+            pivots += 1
+        self.pivots = pivots
+        self.residual = rows
+
+    def rank_at(self, point, bound):
+        """Exact rank at ``point``; ``bound`` is an upper bound on it, such as
+        the generic rank.  Raises PoleAtPoint where an input entry has a pole.
+        """
+        if self.chart is not None and point.chart != self.chart:
+            raise ChartMismatch("point lives on a different chart")
+        for den in self.denominators:
+            if not point.homogenized(den)[0]:
+                raise PoleAtPoint(f"denominator vanishes at {point.render()}")
+        if not self.residual:
+            return self.pivots
+        pairs = [[e.integer_pair(point) for e in row] for row in self.residual]
+        return self.pivots + certified_pair_rank(pairs, bound - self.pivots)
 
 
 def certified_pair_rank(pairs, generic_rank):
-    """``certified_rank`` of rows already evaluated to integer pairs (n, d)."""
-    return certified_prefix_ranks(pairs, [(len(pairs), generic_rank)])[0]
+    """Exact rank of rows evaluated to integer pairs (n, d), d != 0.
 
-
-def certified_prefix_ranks(pairs, prefixes):
-    """``certified_pair_rank`` of each prefix ``pairs[:size]``, in one pass.
-
-    ``prefixes`` lists (size, generic rank) pairs.  One elimination mod p
-    reads the rows in order, so its rank after k rows is the rank mod p of
-    the first k; it notes how many rows it had read when its rank first
-    reached each value.  A prefix is certified when its rank r was reached
-    within its own rows.  It falls back to ``fraction_rank`` of that prefix
-    alone when it was not: its rank mod p stays below r, or the pass met a
-    row with a denominator divisible by p first (the pass stops there).
+    ``generic_rank`` is an upper bound r on the rank, such as the generic
+    rank of the rows the pairs were evaluated from.  Modulo the prime p,
+    rank_p <= rank <= r, so rank_p == r certifies r.  When it does not
+    (rank_p < r, or a nonzero entry's d is divisible by p), the answer is
+    ``fraction_rank`` of the exact values: a failed certificate costs time,
+    never exactness.
     """
     p = CERTIFICATE_PRIME
-    target = max((rank for _, rank in prefixes), default=0)
-    limit = max((size for size, _ in prefixes), default=0)
-    reached = [0]  # reached[k]: rows read when the rank mod p reached k
     basis = []  # (pivot column, row scaled to 1 at the pivot)
-    for read, row in enumerate(pairs[:limit], 1):
-        if len(basis) >= target:
+    for row in pairs:
+        if len(basis) >= generic_rank:
             break
         v = _row_mod_p(row, p)
         if v is None:
@@ -210,11 +249,9 @@ def certified_prefix_ranks(pairs, prefixes):
             continue
         inv = pow(v[col], -1, p)
         basis.append((col, [x * inv % p if x else 0 for x in v]))
-        reached.append(read)
-    return tuple(
-        rank if rank < len(reached) and reached[rank] <= size
-        else fraction_rank([[Fraction(n, d) for n, d in row] for row in pairs[:size]])
-        for size, rank in prefixes)
+    if len(basis) >= generic_rank:
+        return generic_rank
+    return fraction_rank([[Fraction(n, d) for n, d in row] for row in pairs])
 
 
 def _row_mod_p(row, p):

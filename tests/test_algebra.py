@@ -1,6 +1,8 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import io
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,20 @@ def test_decimal_text_has_no_size_limit(name):
     assert decimal_to_int("0" * 700 + digits) == abs(n)
     if len(digits) < 4300:
         assert text == str(n)
+
+
+def test_decimal_text_matches_str_up_to_ten_to_the_200000():
+    rng = random.Random(5)
+    values = [-(10 ** 200000), 10 ** 200000 - 1, -(2 ** 1801) - 1, 2 ** 3601 + 1]
+    values += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in
+               (1799, 1800, 1801, 3600, 3601, 7203, 20000, 123457)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in values:
+            assert int_to_decimal(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_gcd_reduction_on_construction():

@@ -115,9 +115,10 @@ def test_eq6_branch_runs_few_gcds(monkeypatch):
     assert len(gcds) <= 9
 
 
-def test_eq6_scan_evaluates_each_monomial_once_per_point(monkeypatch):
-    # growth, frame rank and form values at a point all read its monomial
-    # values; each (point, monomial) pair is computed once
+def test_eq6_symbol_at_evaluates_each_monomial_once_per_point(monkeypatch):
+    # the class check, the symbol frame's values and its first jets at a
+    # point all read its monomial values; each (point, monomial) pair is
+    # computed once
     dist = get_model("eq6").distribution()
     computed = []
     reads = []
@@ -134,7 +135,9 @@ def test_eq6_scan_evaluates_each_monomial_once_per_point(monkeypatch):
 
     monkeypatch.setattr(algebra.PointQ, "_monomial", counted_monomial)
     monkeypatch.setattr(algebra.PointQ, "homogenized", counted_homogenized)
-    scan = parabolic.Analysis(dist).scan(20, 0)
-    assert len(scan.samples) == 20
+    analysis = parabolic.Analysis(dist)
+    for coords in ((1, 1, 1, 1, 1, 1), (2, -1, 1, 3, 1, -2)):
+        _, symbol_class = analysis.symbol_at(dist.chart.point(coords))
+        assert symbol_class is parabolic.SymbolClass.G0
     assert computed and len(computed) == len(set(computed))
     assert sum(reads) > 2 * len(computed)

@@ -1,5 +1,6 @@
 """Command-line behaviour: reports, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagrank import cli
 from flagrank.cli import main
@@ -390,3 +392,48 @@ def test_degree_overflow_during_analysis_exits_3(tmp_path):
     assert set(report) == {"schema", "error"}
     assert report["error"]["type"] == "DegreeOverflow"
     assert "2^31" in report["error"]["message"]
+
+
+_COORDINATES = ("0", "1", "-2", "1/2", "-3/4", "2.5", ".5", "1e3", "1e-2", "7e999",
+                "1/0", "0/0", "x", "", "1_0", "nan", "inf")
+_POINTS = st.one_of(
+    st.lists(st.sampled_from(_COORDINATES), min_size=5, max_size=7).map(
+        lambda coords: "(" + ", ".join(coords) + ")"),
+    st.text(alphabet="()0123456789,/.-e x", max_size=16))
+_TASK_LISTS = st.lists(st.sampled_from(("growth", "classify", "scan", "flag", "symbol",
+                                        "branch", "lift", "", " ", "bogus", "Growth")),
+                       max_size=3).map(",".join)
+_FRAGMENTS = st.one_of(
+    st.tuples(st.just("--tasks"), _TASK_LISTS),
+    st.tuples(st.just("--point"), _POINTS),
+    st.tuples(st.just("--samples"), st.sampled_from(("1", "2", "3", "0", "-1", "x", "1.5"))),
+    st.tuples(st.just("--seed"), st.sampled_from(("0", "5", "-3", "99", "abc", ""))),
+    st.tuples(st.just("--format"), st.sampled_from(("json", "text", "xml"))),
+    st.tuples(st.sampled_from(("--frobnicate", "-q", "--tasks", "--point", "extra"))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("eq5", "eq6", "j21", "g1_flat", "elliptic", "nosuch")),
+       st.lists(_FRAGMENTS, max_size=5))
+def test_analyze_argv_fuzz_gives_a_report_or_a_usage_error(builtin, fragments):
+    # argparse keeps the last value of a flag, so the fragments' --samples,
+    # all small, override the leading one
+    argv = ["analyze", "--builtin", builtin, "--samples", "3"]
+    argv += [word for fragment in fragments for word in fragment]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            # argparse rejected the argv before any analysis: usage on stderr
+            assert exc.code == 2
+            assert "error:" in err.getvalue()
+            assert "Traceback" not in err.getvalue() and not out.getvalue()
+            return
+    assert code in (0, 2, 3, 4), out.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if cli.build_arg_parser().parse_args(argv).format == "json":
+        report = json.loads(out.getvalue())
+        assert ("error" in report) == (code != 0)
+    else:
+        assert out.getvalue().startswith("error [") == (code != 0)

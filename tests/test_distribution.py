@@ -4,16 +4,18 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagrank import Chart, Distribution, OneForm, annihilator_frame, \
+from flagrank import Chart, Distribution, OneForm, PointQ, annihilator_frame, \
     coordinate_field, derived_flag, frobenius_integrable, get_model, growth_at, \
     lie_bracket, rank_generic, span_reduce, spans_equal, \
     square_root_subdistribution
+from flagrank.classification import Classification
 from flagrank.errors import DependentForms, NotRank35, PoleAtPoint
-from flagrank.linalg import certified_rank
 from flagrank.models import catalog_list, model_eq3, model_eq4
-from util import brute_growth_at, change_frame, combine, rand_invertible, \
-    rand_polynomial, sc, vf
+from util import brute_growth_at, certified_rank, change_frame, combine, \
+    evaluated_growth_at, family_parameter, rand_invertible, rand_polynomial, \
+    rank_or_pole, rescaled_frame, sc, vf
 
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
 PDE = Chart("PDE", ("u1", "u2", "u3", "x", "y", "z"))
@@ -130,7 +132,7 @@ def test_growth_at_reads_flag_generators_as_nested_prefixes(dist):
                                      for _ in range(4)]
     for coords in points:
         p = dist.chart.point(coords)
-        # the per-step evaluation growth_at replaces
+        # the per-step evaluation of every entry
         try:
             expected = tuple(certified_rank([g.coefficients for g in s.generators],
                                             p, s.generic_rank) for s in steps)
@@ -139,6 +141,53 @@ def test_growth_at_reads_flag_generators_as_nested_prefixes(dist):
                 growth_at(dist, p, steps)
         else:
             assert growth_at(dist, p, steps) == expected
+
+
+_BASES = [spec.name for spec in catalog_list()] + ["eq3", "eq4"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_BASES), st.integers(0, 2 ** 32),
+       st.lists(st.tuples(*[st.integers(-2, 2)] * 6), min_size=1, max_size=8))
+def test_point_ranks_match_evaluated_ranks_on_rescaled_frames(name, seed, points):
+    # rescaled frames put poles, growth drops and non-constant entries on
+    # lattice points, so the residual rows of PointRank are evaluated too
+    rng = random.Random(seed)
+    if name in ("eq3", "eq4"):
+        build = model_eq3 if name == "eq3" else model_eq4
+        base = build(family_parameter(rng, name, rng.choice((None, "x", "u1"))))
+    else:
+        base = get_model(name).distribution()
+    dist = rescaled_frame(base, rng)
+    stages = Classification(dist)
+    steps = stages.steps
+    full = [f.coefficients for f in stages.frame.full()]
+    for coords in points:
+        p = dist.chart.point(coords)
+        assert rank_or_pole(growth_at, dist, p, steps) == \
+            rank_or_pole(evaluated_growth_at, steps, p)
+        assert rank_or_pole(stages.frame.rank_at, p) == \
+            rank_or_pole(certified_rank, full, p, 6)
+
+
+def test_growth_at_on_a_polynomial_flag_evaluates_no_entry(monkeypatch):
+    # eq6's flag generators are polynomial and reach their generic ranks
+    # with constant pivots, so a point needs no evaluation at all
+    dist = get_model("eq6").distribution()
+    steps, growth = derived_flag(dist)
+    assert all(not s.point_rank.denominators and not s.point_rank.residual
+               for s in steps)
+    reads = []
+    homogenized = PointQ.homogenized
+
+    def counted(point, poly):
+        reads.append(poly)
+        return homogenized(point, poly)
+
+    monkeypatch.setattr(PointQ, "homogenized", counted)
+    for coords in ((0,) * 6, (1, -1, 2, 1, -2, 1)):
+        assert growth_at(dist, dist.chart.point(coords), steps) == growth.ranks
+    assert not reads
 
 
 def test_growth_invariant_under_function_field_frame_change():

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from flagrank import Chart, kernel_basis, rank_generic, solve_in_span
 from flagrank.errors import PoleAtPoint
 from flagrank import linalg
-from flagrank.linalg import CERTIFICATE_PRIME, Echelon, certified_rank, fraction_rank, \
+from flagrank.linalg import CERTIFICATE_PRIME, Echelon, fraction_rank, \
     fraction_solve
-from util import rand_ratfunc, ref_div, ref_mul, ref_sub, sc, sparse_ratfuncs, vf
+from util import certified_prefix_ranks, certified_rank, rand_polynomial, rand_ratfunc, \
+    rank_or_pole, ref_div, ref_mul, ref_sub, sc, sparse_ratfuncs, vf
 
 CH = Chart("A", ("x", "y", "z"))
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
@@ -130,7 +131,7 @@ def test_rank_at_never_exceeds_generic():
         assert achieved == generic
 
 
-def _exact_rank_or_pole(m, point):
+def _exactrank_or_pole(m, point):
     try:
         return fraction_rank(_evaluate(m, point))
     except PoleAtPoint:
@@ -180,7 +181,7 @@ def test_certified_rank_matches_fraction_rank(seed, independent, extra, points):
     assert generic <= independent
     for coords in points:
         p = CH.point(coords)
-        assert _certified_or_pole(rows, p, generic) == _exact_rank_or_pole(rows, p)
+        assert _certified_or_pole(rows, p, generic) == _exactrank_or_pole(rows, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,8 +206,59 @@ def test_one_pass_prefix_ranks_match_fraction_rank(seed, independent, extra, zer
             pairs = [[f.integer_pair(p) for f in row] for row in rows]
         except PoleAtPoint:
             continue
-        assert linalg.certified_prefix_ranks(pairs, prefixes) == tuple(
+        assert certified_prefix_ranks(pairs, prefixes) == tuple(
             fraction_rank(_evaluate(rows[:size], p)) for size, _ in prefixes)
+
+
+def _mixed_entry(rng):
+    """Zero, a constant, a polynomial or a quotient, one draw in four each."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return CH.zero()
+    if kind == 1:
+        return CH.const(rng.randint(-2, 2))
+    if kind == 2:
+        return rand_polynomial(CH, rng)
+    return rand_ratfunc(CH, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2),
+       st.lists(st.tuples(_grid, _grid, _grid), min_size=1, max_size=6))
+def test_point_rank_matches_evaluated_rank(seed, n_rows, width, extra, points):
+    # extra rows are function combinations of the drawn ones, so ranks drop
+    # and residual rows keep non-constant entries
+    rng = random.Random(seed)
+    rows = [[_mixed_entry(rng) for _ in range(width)] for _ in range(n_rows)]
+    for _ in range(extra):
+        coeffs = [_mixed_entry(rng) for _ in range(n_rows)]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), CH.zero())
+                     for j in range(width)])
+    rng.shuffle(rows)
+    generic = rank_generic(rows)
+    point_rank = linalg.PointRank(rows)
+    assert point_rank.pivots + len(point_rank.residual) >= generic
+    for coords in points:
+        p = CH.point(coords)
+        assert rank_or_pole(point_rank.rank_at, p, generic) == \
+            rank_or_pole(certified_rank, rows, p, generic)
+
+
+def test_point_rank_pivots_on_constants_only():
+    m = _matrix(CH, [["x", 1, "y"], [1, "x", "z"], [2, "2*x", "2*z"]])
+    point_rank = linalg.PointRank(m)
+    assert point_rank.pivots == 1 and point_rank.denominators == ()
+    # the rows [1 - x^2, z - x*y] and twice it are left; the rank drops
+    # where both entries vanish
+    assert len(point_rank.residual) == 2
+    assert point_rank.rank_at(CH.point((1, 0, 0)), 2) == 1
+    assert point_rank.rank_at(CH.point((2, 0, 0)), 2) == 2
+    m = _matrix(CH, [[1, "1/(x - y)"], [0, 1]])
+    point_rank = linalg.PointRank(m)
+    assert (point_rank.pivots, point_rank.residual) == (2, [])
+    with pytest.raises(PoleAtPoint, match=r"denominator vanishes at \(2, 2, 0\)"):
+        point_rank.rank_at(CH.point((2, 2, 0)), 2)
+    assert point_rank.rank_at(CH.point((2, 1, 0)), 2) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,17 +334,17 @@ def test_one_pass_falls_back_only_for_prefixes_past_a_denominator_divisible_by_p
     pairs = [[f.integer_pair(point) for f in row] for row in m]
     assert pairs[3][2] == (1, p)
     # only the last prefix holds the row over p: one fallback, on its rows
-    assert linalg.certified_prefix_ranks(pairs, [(1, 1), (3, 2), (4, 3)]) == (1, 2, 3)
+    assert certified_prefix_ranks(pairs, [(1, 1), (3, 2), (4, 3)]) == (1, 2, 3)
     assert calls == [_evaluate(m[:4], point)]
     # every prefix that must read that row falls back once; the others do not
     del calls[:]
-    assert linalg.certified_prefix_ranks(pairs, [(2, 1), (4, 3), (5, 3)]) == (1, 3, 3)
+    assert certified_prefix_ranks(pairs, [(2, 1), (4, 3), (5, 3)]) == (1, 3, 3)
     assert calls == [_evaluate(m[:4], point), _evaluate(m, point)]
     # a prefix whose rank is reached before that row never reads it
     del calls[:]
     m = _matrix(CH, [[1, 0], [0, 1], ["1/x", 0]])
     pairs = [[f.integer_pair(point) for f in row] for row in m]
-    assert linalg.certified_prefix_ranks(pairs, [(2, 2), (3, 2)]) == (2, 2)
+    assert certified_prefix_ranks(pairs, [(2, 2), (3, 2)]) == (2, 2)
     assert not calls
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from flagrank import AdaptedFrame, Distribution, Polynomial, RatFunc, VectorField, \
     lie_bracket, parse_scalar
+from flagrank import linalg
+from flagrank.errors import PoleAtPoint
 from flagrank.linalg import fraction_rank
 
 
@@ -20,6 +22,78 @@ def vf(chart, *coeffs):
 
 def pointwise_rank(fields, point):
     return fraction_rank([f.evaluate(point) for f in fields])
+
+
+def certified_rank(rows, point, generic_rank):
+    """Exact rank at ``point`` of rows of RatFuncs, evaluating every entry.
+
+    The slow twin of ``linalg.PointRank``: each entry becomes an exact
+    integer pair (a pole anywhere raises PoleAtPoint) and
+    ``linalg.certified_pair_rank`` certifies the rank against
+    ``generic_rank``, an upper bound on it.
+    """
+    return linalg.certified_pair_rank(
+        [[f.integer_pair(point) for f in row] for row in rows], generic_rank)
+
+
+def rank_or_pole(rank, *args):
+    """``rank(*args)``, or the message of the PoleAtPoint it raises."""
+    try:
+        return rank(*args)
+    except PoleAtPoint as exc:
+        return str(exc)
+
+
+def certified_prefix_ranks(pairs, prefixes):
+    """``certified_pair_rank`` of each prefix ``pairs[:size]``, in one pass.
+
+    ``prefixes`` lists (size, generic rank) pairs.  One elimination mod p
+    reads the rows in order, so its rank after k rows is the rank mod p of
+    the first k; it notes how many rows it had read when its rank first
+    reached each value.  A prefix is certified when its rank r was reached
+    within its own rows.  It falls back to ``linalg.fraction_rank`` of that
+    prefix alone when it was not: its rank mod p stays below r, or the pass
+    met a row with a denominator divisible by p first (the pass stops there).
+    """
+    p = linalg.CERTIFICATE_PRIME
+    target = max((rank for _, rank in prefixes), default=0)
+    limit = max((size for size, _ in prefixes), default=0)
+    reached = [0]  # reached[k]: rows read when the rank mod p reached k
+    basis = []  # (pivot column, row scaled to 1 at the pivot)
+    for read, row in enumerate(pairs[:limit], 1):
+        if len(basis) >= target:
+            break
+        v = linalg._row_mod_p(row, p)
+        if v is None:
+            break
+        for col, b in basis:
+            c = v[col]
+            if c:
+                v = [(x - c * y) % p if y else x for x, y in zip(v, b)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        inv = pow(v[col], -1, p)
+        basis.append((col, [x * inv % p if x else 0 for x in v]))
+        reached.append(read)
+    return tuple(
+        rank if rank < len(reached) and reached[rank] <= size
+        else linalg.fraction_rank([[Fraction(n, d) for n, d in row]
+                                   for row in pairs[:size]])
+        for size, rank in prefixes)
+
+
+def evaluated_growth_at(steps, point):
+    """Pointwise ranks of derived-flag steps by evaluating every generator.
+
+    The slow twin of ``growth_at``: the last step's generators are evaluated
+    once, each step's generators are a prefix of them, and one modular pass
+    certifies every step's rank.
+    """
+    pairs = [[c.integer_pair(point) for c in g.coefficients]
+             for g in steps[-1].generators]
+    return certified_prefix_ranks(
+        pairs, [(len(step.generators), step.generic_rank) for step in steps])
 
 
 def brute_bracket_layers(dist, depth=4):
@@ -105,6 +179,28 @@ def change_frame(dist, matrix):
     """Distribution respanned by a constant matrix acting on the frame."""
     fields = [combine(list(dist.frame), row) for row in matrix]
     return Distribution(dist.chart, fields)
+
+
+def rescaled_frame(dist, rng):
+    """The distribution on its frame changed by function factors.
+
+    One field is scaled by a nonconstant polynomial, one gains a polynomial
+    multiple of a third, and that third is scaled by (x_a - c)/(x_b - d),
+    which vanishes or has a pole on lattice hyperplanes.  The span is
+    unchanged off those loci, so generic growth and class are too.
+    """
+    chart = dist.chart
+    fields = list(dist.frame)
+    i, j, k = rng.sample(range(len(fields)), 3)
+    scale = rand_polynomial(chart, rng)
+    while scale.is_constant():
+        scale = rand_polynomial(chart, rng)
+    a, b = rng.sample(chart.variables, 2)
+    factor = (chart.var(a) - rng.randint(-2, 2)) / (chart.var(b) - rng.randint(-2, 2))
+    fields[i] = fields[i].scale(scale)
+    fields[j] = fields[j] + fields[k].scale(rand_polynomial(chart, rng))
+    fields[k] = fields[k].scale(factor)
+    return Distribution(chart, fields)
 
 
 def transformed_frame(frame, y_scale=1, z_scale=1, basis=None):
