@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 
 from .algebra import PointQ
 from .calculus import VectorField, coordinate_field, lie_bracket
@@ -157,10 +158,12 @@ _SEARCH_BUDGET = 200
 _RETRY_FACTOR = 25
 
 
-def sample_points(chart, seed, budget):
-    """Deterministic stream of at most ``budget`` small rational sample points."""
+def sample_points(chart, seed, budget=None):
+    """Deterministic stream of small rational sample points, at most
+    ``budget`` of them (no limit for None).  The stream of a seed does not
+    depend on the budget."""
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in (range(budget) if budget is not None else count()):
         coords = [Fraction(rng.randint(-_MAGNITUDE, _MAGNITUDE),
                            rng.randint(1, _MAX_DENOMINATOR))
                   for _ in range(chart.dimension)]
@@ -248,13 +251,29 @@ class Classification:
 
     Derived flag, adapted frame, bracket form, generic class (per seed) and
     regularity scan (per argument triple) are built on first use and kept for
-    the object's life: one request or one public call.
+    the object's life: one request or one public call.  So are the sample
+    points of each seed, which every stage that samples reads.
     """
 
     def __init__(self, dist):
         self.dist = dist
         self._classes = {}
         self._scans = {}
+        self._points = {}  # seed -> (points drawn so far, the stream)
+
+    def points(self, seed, budget):
+        """The first ``budget`` points of ``sample_points`` for the seed.
+
+        One list per seed, extended on demand, so each point (with the
+        monomial values it keeps) is built once per object.
+        """
+        if seed not in self._points:
+            self._points[seed] = ([], sample_points(self.dist.chart, seed))
+        drawn, stream = self._points[seed]
+        for i in range(budget):
+            if i == len(drawn):
+                drawn.append(next(stream))
+            yield drawn[i]
 
     @cached_property
     def derived(self):
@@ -320,7 +339,7 @@ class Classification:
         generic = self.generic_class(seed)
         samples = []
         skipped = []
-        points = sample_points(dist.chart, seed, n_samples * retry_factor)
+        points = self.points(seed, n_samples * retry_factor)
         while len(samples) < n_samples:
             p = next(points, None)
             if p is None:

@@ -46,14 +46,26 @@ DEFAULT_TASKS = ("branch",)
 
 # an integer, a ratio n/d, or a decimal such as -1.25e3 or .5
 _NUMBER = re.compile(r"([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)")
+# largest |exponent| of a decimal coordinate: 10^exponent is built exactly
+_MAX_EXPONENT = 10 ** 6
 
 
 def _coordinate(text):
-    """``Fraction(text)``, reading its digits past the 4300-digit limit."""
+    """``Fraction(text)``, reading its digits past the 4300-digit limit.
+
+    A decimal exponent above ``_MAX_EXPONENT`` in absolute value is a
+    UsageError naming the coordinate.
+    """
     match = _NUMBER.fullmatch(text)
     if match is None:
         return Fraction(text)  # other spellings Fraction reads, such as 1_000
     sign, whole, den, frac, exp = match.groups()
+    if exp is not None:
+        # past 7 digits it exceeds 10^6, and int() would meet the digit limit
+        magnitude = exp.lstrip("+-").lstrip("0")
+        if len(magnitude) > 7 or int(magnitude or 0) > _MAX_EXPONENT:
+            raise UsageError(f"--point coordinate {text!r}: the decimal exponent "
+                             f"must be at most {_MAX_EXPONENT} in absolute value")
     if den is not None:
         value = Fraction(decimal_to_int(whole), decimal_to_int(den))
     else:

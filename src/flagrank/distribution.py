@@ -10,7 +10,9 @@ the generators' denominators and, rarely, a certified rank of the rows that
 elimination leaves.
 Generator lists hold each bracket once, up to sign (``bracket_span``,
 ``derived_flag``): a bracket that is zero or ± an earlier generator changes
-no span, no reduced basis and no rank at a point.
+no span, no reduced basis and no rank at a point.  Span equalities between
+the parabolic flag's strata are decided by its bracket table
+(``parabolic.BracketTable``), not here.
 """
 
 from __future__ import annotations
@@ -109,24 +111,6 @@ def span_reduce(fields):
     for f in fields:
         ech.add(f.coefficients)
     return [VectorField(chart, row) for row in ech.rows]
-
-
-def spans_equal(fields_a, fields_b):
-    """True iff the lists span the same space; only ``fields_b`` is eliminated.
-
-    A field of ``fields_a`` outside it returns False at once.  The others'
-    coordinates in its reduced rows are their pivot-column entries, and the
-    spans are equal iff those rows have the rank of ``fields_b``.
-    """
-    width = (fields_a or fields_b)[0].chart.dimension
-    ech_b = Echelon(width, [f.coefficients for f in fields_b])
-    pivots = ech_b.pivot_columns()
-    coords = []
-    for f in fields_a:
-        if any(not e.is_zero() for e in ech_b.residual(f.coefficients)):
-            return False
-        coords.append([f.coefficients[c] for c in pivots])
-    return rank_generic(coords) == ech_b.rank
 
 
 def annihilator_frame(forms):

@@ -68,6 +68,17 @@ class Echelon:
     def contains(self, vector):
         return all(e.is_zero() for e in self.residual(vector))
 
+    def copy(self):
+        """An echelon of the same span that later ``add`` calls leave apart.
+
+        ``add`` replaces rows and never changes one in place, so the copy
+        shares the rows themselves.
+        """
+        other = Echelon(self.width)
+        other.rows = list(self.rows)
+        other.pivots = list(self.pivots)
+        return other
+
     def add(self, vector):
         """Insert a vector; returns True when it enlarged the span."""
         v = list(vector)
@@ -79,9 +90,12 @@ class Echelon:
             return False
         col, pivot = min(candidates, key=lambda je: _pivot_score(je[1], je[0]))
         was_constant = pivot.is_constant()
-        # a pivot of one would rebuild every entry unchanged
+        # a pivot of one would rebuild every entry unchanged, and the pivot
+        # over itself is one without a division
         if not pivot.is_one():
-            v = [e if e.is_zero() else e / pivot for e in v]
+            one = pivot.chart.one()
+            v = [e if e.is_zero() else one if e is pivot else e / pivot
+                 for e in v]
         for i, row in enumerate(self.rows):
             c = row[col]
             if not c.is_zero():

@@ -11,6 +11,12 @@ Every stage is built in one place, ``Analysis``: one object per distribution
 that builds each stage on first use and reuses it.  It lives for one request
 or one public call, never longer; ``parabolic_flag``, ``symbol_d_function``,
 ``symbol_algebra_at`` and ``branch_classify`` are thin reads of a fresh one.
+
+Each flag carries one ``BracketTable``, built on first use: a nested frame
+f1..f5 with f1..fk spanning the rank-k stratum, the brackets of its fields
+(each unordered pair once) and their residuals against each stratum.  The
+relation checks and the depth-4 check of ``Analysis.branch`` all read it, so
+the seven relations of the non-degenerate branch cost seven brackets.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import _render_fraction
-from .calculus import coordinate_field, lie_bracket
+from .calculus import lie_bracket
 from .classification import _RETRY_FACTOR, _SEARCH_BUDGET, Classification, \
-    PointClass, _complete_with_field, _residual_coordinate, sample_points
-from .distribution import Distribution, bracket_span, combine, derived_flag, \
-    frobenius_integrable, growth_at, span_reduce, spans_equal
+    PointClass, _complete_with_field, _residual_coordinate
+from .distribution import Distribution, combine, derived_flag, \
+    frobenius_integrable, growth_at, span_reduce
 from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
     NotParabolicNonDeg, PoleAtPoint, RankUnexpected, SampleBudgetExhausted, \
     SingularDistribution
@@ -48,6 +54,11 @@ class ParabolicFlag:
         if not 1 <= rank <= 5:
             raise IndexError("flag ranks run from 1 to 5")
         return self.strata[rank - 1]
+
+    @cached_property
+    def brackets(self):
+        """The flag's ``BracketTable``, built on first use."""
+        return BracketTable(self.strata)
 
     def to_json_dict(self):
         return {
@@ -84,40 +95,119 @@ class RelationCheck:
     holds: bool
 
 
-def _span_relation(fields_a, fields_b, expected_fields):
-    gens = bracket_span(fields_a, fields_b)
-    return spans_equal(gens, expected_fields)
+# the target index c of a relation [D_a, D_b] = TM, the whole tangent bundle
+_TANGENT = 6
+
+
+class BracketTable:
+    """The brackets of one flag's strata, each computed at most once.
+
+    One incremental ``Echelon`` walks the strata in order: f_k is the first
+    field of D_k's frame that enlarges the span of f_1..f_(k-1), and the
+    strata are nested exactly when each D_k has rank k and the rank after
+    stratum k is k (then D_k is the sum of D_1..D_k).  The fields of D_k are
+    then f_1..f_k and its echelon is the walk's after stratum k.
+    A flag that does not nest (only a hand-built one can fail to) keeps each
+    stratum's own frame and echelon; the checks below are the same.
+
+    By the Leibniz rule any frames of A and B generate the same
+    A + B + [A, B], so the checks are exact generic span statements.
+    """
+
+    def __init__(self, strata):
+        self.width = strata[0].chart.dimension
+        walk = Echelon(self.width)
+        frame, echelons = [], []
+        for rank, stratum in enumerate(strata, 1):
+            for f in stratum.frame:
+                if walk.add(f.coefficients) and len(frame) < rank:
+                    frame.append(f)
+            if walk.rank != rank or stratum.generic_rank != rank:
+                break
+            echelons.append(walk.copy())
+        self.nested = len(echelons) == len(strata)
+        if self.nested:
+            self.fields = [frame[:rank] for rank in range(1, len(strata) + 1)]
+        else:
+            self.fields = [list(stratum.frame) for stratum in strata]
+            echelons = [stratum.echelon() for stratum in strata]
+        self.echelons = echelons
+        self._brackets = {}   # {id, id} of an unordered pair -> bracket
+        self._residuals = {}  # (id of a field, stratum) -> residual or None
+
+    def _generators(self, a, b):
+        """The fields of D_a and D_b, then the bracket of each unordered pair
+        of a field of D_a with a different field of D_b."""
+        fields_a, fields_b = self.fields[a - 1], self.fields[b - 1]
+        yield from fields_a
+        yield from fields_b
+        for x in fields_a:
+            for y in fields_b:
+                if x is not y:
+                    key = frozenset((id(x), id(y)))
+                    if key not in self._brackets:
+                        self._brackets[key] = lie_bracket(x, y)
+                    yield self._brackets[key]
+
+    def _residual(self, field, k):
+        """The field's residual against D_k's echelon; None when it is zero.
+
+        A field of D_k's own list and any field against the tangent bundle
+        need no elimination.
+        """
+        if k == _TANGENT or any(field is f for f in self.fields[k - 1]):
+            return None
+        key = (id(field), k)
+        if key not in self._residuals:
+            res = self.echelons[k - 1].residual(field.coefficients)
+            self._residuals[key] = None if all(e.is_zero() for e in res) else res
+        return self._residuals[key]
+
+    def contained(self, a, b, c):
+        """True iff D_a + D_b + [D_a, D_b] lies in D_c."""
+        return all(self._residual(g, c) is None for g in self._generators(a, b))
+
+    def spans(self, a, b, c):
+        """True iff D_a + D_b + [D_a, D_b] = D_c (``_TANGENT``: the tangent bundle).
+
+        Given containment, the span has rank rank(D_b) plus the rank of the
+        residuals modulo D_b, which is at most rank(D_c) - rank(D_b); the
+        elimination stops once it reaches that.
+        """
+        if not self.contained(a, b, c):
+            return False
+        rank_c = self.width if c == _TANGENT else self.echelons[c - 1].rank
+        target = rank_c - self.echelons[b - 1].rank
+        quotient = Echelon(self.width)
+        for g in self._generators(a, b):
+            if quotient.rank == target:
+                break
+            res = self._residual(g, b)
+            if res is not None:
+                quotient.add(res)
+        return quotient.rank == target
+
+
+# (a, b, c) of each relation [D_a, D_b] = D_c, in report order
+_RELATIONS = {
+    FlagBranch.NONDEGENERATE: ((1, 2, 2), (1, 3, 4), (1, 4, 4), (1, 5, 5),
+                               (2, 3, 5), (2, 4, 5), (2, 5, _TANGENT)),
+    FlagBranch.DEGENERATE: ((1, 2, 2), (1, 3, 4), (1, 4, 4), (4, 4, 5),
+                            (2, 4, 5), (2, 5, 5), (5, 5, _TANGENT)),
+}
 
 
 def verify_flag_relations(flag):
     """Exact generic span checks of the flag's defining bracket relations.
 
-    Failures are reported, not raised: they mean the input left the class the
-    flag was computed for.
+    Every check reads the flag's ``BracketTable``.  Failures are reported,
+    not raised: they mean the input left the class the flag was computed
+    for.
     """
-    d1, d2, d3, d4, d5 = flag.strata
-    chart = d1.chart
-    tangent = [coordinate_field(chart, v) for v in chart.variables]
-    checks = [
-        ("[D1,D2]=D2", _span_relation(d1.frame, d2.frame, d2.frame)),
-        ("[D1,D3]=D4", _span_relation(d1.frame, d3.frame, d4.frame)),
-        ("[D1,D4]=D4", _span_relation(d1.frame, d4.frame, d4.frame)),
-    ]
-    if flag.branch is FlagBranch.NONDEGENERATE:
-        checks += [
-            ("[D1,D5]=D5", _span_relation(d1.frame, d5.frame, d5.frame)),
-            ("[D2,D3]=D5", _span_relation(d2.frame, d3.frame, d5.frame)),
-            ("[D2,D4]=D5", _span_relation(d2.frame, d4.frame, d5.frame)),
-            ("[D2,D5]=TM", _span_relation(d2.frame, d5.frame, tangent)),
-        ]
-    else:
-        checks += [
-            ("[D4,D4]=D5", _span_relation(d4.frame, d4.frame, d5.frame)),
-            ("[D2,D4]=D5", _span_relation(d2.frame, d4.frame, d5.frame)),
-            ("[D2,D5]=D5", _span_relation(d2.frame, d5.frame, d5.frame)),
-            ("[D5,D5]=TM", _span_relation(d5.frame, d5.frame, tangent)),
-        ]
-    return [RelationCheck(name, holds) for name, holds in checks]
+    table = flag.brackets
+    return [RelationCheck(f"[D{a},D{b}]=" + ("TM" if c == _TANGENT else f"D{c}"),
+                          table.spans(a, b, c))
+            for a, b, c in _RELATIONS[flag.branch]]
 
 
 class SymbolClass(Enum):
@@ -532,7 +622,7 @@ class Analysis(Classification):
     def completely_nondegenerate(self, n_samples=20, seed=0):
         sub = self.e_sub
         steps, growth = derived_flag(sub)
-        points = sample_points(self.dist.chart, seed, n_samples * _RETRY_FACTOR)
+        points = self.points(seed, n_samples * _RETRY_FACTOR)
         good = 0
         while good < n_samples:
             p = next(points, None)
@@ -549,7 +639,7 @@ class Analysis(Classification):
 
     def _find_symbol_sample(self, seed):
         last_error = None
-        for p in sample_points(self.dist.chart, seed, _SEARCH_BUDGET):
+        for p in self.points(seed, _SEARCH_BUDGET):
             try:
                 return self.symbol_at(p)
             except (NotGrowth356, PoleAtPoint, NotParabolicNonDeg) as exc:
@@ -584,10 +674,7 @@ class Analysis(Classification):
         algebra, _ = self._find_symbol_sample(seed)
         b2 = frobenius_integrable(self.e_sub)
         cnd = self.completely_nondegenerate(samples, seed)
-        d4, d5 = flag[4], flag[5]
-        deep_gens = bracket_span(d4.frame, d4.frame)
-        ech5 = d5.echelon()
-        depth4_closed = all(ech5.contains(g.coefficients) for g in deep_gens)
+        depth4_closed = flag.brackets.contained(4, 4, 5)
         if depth4_closed != (sym_class is SymbolClass.G0):
             raise ConsistencyError(
                 "depth-4 bracket behaviour contradicts the symbol class")

@@ -15,11 +15,11 @@ from flagrank import Analysis, PointClass, SymbolClass, Verdict, adapted_frame, 
     bracket_form, bracket_span, branch_classify, catalog_list, \
     classify_form_generic, coordinate_field, derived_flag, e_subdistribution, \
     get_model, lift_pair, model_eq3, model_eq4, parabolic_flag, regularity_scan, \
-    spans_equal, symbol_algebra_at, symbol_d_function, verify_flag_relations, \
-    Chart, VectorField
+    symbol_algebra_at, symbol_d_function, verify_flag_relations, Chart, \
+    VectorField
 from flagrank.cli import main
 from flagrank.errors import LiftPreconditionFailed
-from util import change_frame, rand_invertible, rand_polynomial, \
+from util import change_frame, rand_invertible, rand_polynomial, spans_equal, \
     transformed_frame, vf
 
 

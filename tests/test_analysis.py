@@ -90,6 +90,27 @@ def test_eq6_branch_brackets_each_pair_once(monkeypatch):
     assert not solves
 
 
+@pytest.mark.parametrize("name, most", [("eq6", 7), ("j21", 10)])
+def test_flag_relations_bracket_each_nested_pair_once(monkeypatch, name, most):
+    # 38 brackets for eq6 when every relation bracketed its own pair of
+    # stratum frames; the table brackets pairs of the nested frame f1..f5,
+    # which has 10 pairs in all
+    flag = parabolic_flag(get_model(name).distribution())
+    brackets = record_calls(monkeypatch, calculus, "lie_bracket")
+    assert all(check.holds for check in parabolic.verify_flag_relations(flag))
+    assert 0 < len(brackets) <= most
+
+
+def test_eq6_branch_builds_each_sample_point_once(monkeypatch):
+    # the scan, the completely-non-degenerate test and the symbol sample
+    # each drew and built the seed's points again
+    points = record_calls(monkeypatch, algebra, "PointQ")
+    parabolic.Analysis(get_model("eq6").distribution()).branch(20, 0)
+    coordinates = [tuple(coords) for _, coords in points]
+    assert len(coordinates) >= 20
+    assert len(set(coordinates)) == len(coordinates)
+
+
 def test_eq6_branch_differentiates_each_coefficient_once(monkeypatch):
     # 153 polynomial derivatives when VectorField.apply differentiated each
     # coefficient by every coordinate in every bracket it took part in

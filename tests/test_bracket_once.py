@@ -2,10 +2,11 @@
 
 ``bracket_span`` brackets each unordered pair once and keeps each bracket
 once up to sign, ``derived_flag`` brackets the frame only against the
-generators its previous step added, ``spans_equal`` eliminates one side, and
-the bracket form and the d-function read one coordinate off a residual.  The
-references below are the all-ordered-pairs, two-echelon and kernel-solve
-versions these replaced; spans, ranks, frames and coordinates must agree.
+generators its previous step added, ``spans_equal`` (a helper in ``util``)
+eliminates one side, and the bracket form and the d-function read one
+coordinate off a residual.  The references below are the all-ordered-pairs,
+two-echelon and kernel-solve versions these replaced; spans, ranks, frames
+and coordinates must agree.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagrank import Chart, VectorField, adapted_frame, bracket_form, get_model, \
-    growth_at, lie_bracket, solve_in_span, span_reduce, spans_equal
+    growth_at, lie_bracket, solve_in_span, span_reduce
 from flagrank.classification import sample_points
 from flagrank.distribution import Distribution, GrowthVector, bracket_span, \
     derived_flag
@@ -23,7 +24,7 @@ from flagrank.linalg import Echelon
 from flagrank.models import catalog_list, model_eq3, model_eq4
 from flagrank.parabolic import Analysis
 from util import family_parameter, rand_invertible, sparse_ratfuncs, \
-    transformed_frame
+    spans_equal, transformed_frame
 
 MODELS = {"eq3": model_eq3, "eq4": model_eq4}
 BUILTINS = [spec.name for spec in catalog_list()]

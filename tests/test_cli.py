@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,24 @@ def test_long_decimal_point_coordinates_are_exact(point, rendered):
     at_point = json.loads(text)["results"]["growth"]["at_point"]
     assert at_point["point"] == rendered
     assert at_point["ranks"] == [3, 5, 6]
+
+
+def test_decimal_exponents_up_to_a_million_are_exact():
+    assert cli._coordinate("1e1000000") == 10 ** 1000000
+    assert cli._coordinate("-2.5E-0001000000") == Fraction(-25, 10 ** 1000001)
+
+
+@pytest.mark.parametrize("coordinate", [
+    "1e1000001", "-2.5E-0001000001", "0.5e+99999999999999999999", f"1e{'9' * 5000}",
+])
+def test_oversized_decimal_exponent_exits_2(coordinate):
+    # 10 ** exponent was built exactly: 1e4000000 spent seconds in it
+    code, text = run_cli(["analyze", "--builtin", "eq5", "--tasks", "growth",
+                          "--point", f"({coordinate},0,0,0,0,0)", "--format", "json"])
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert error["type"] == "UsageError"
+    assert repr(coordinate) in error["message"]
 
 
 def test_repeated_chart_variable_exits_2(monkeypatch):

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from flagrank import Chart, Distribution, OneForm, PointQ, annihilator_frame, \
     coordinate_field, derived_flag, frobenius_integrable, get_model, growth_at, \
-    lie_bracket, rank_generic, span_reduce, spans_equal, \
-    square_root_subdistribution
+    lie_bracket, rank_generic, span_reduce, square_root_subdistribution
 from flagrank.classification import Classification
 from flagrank.errors import DependentForms, NotRank35, PoleAtPoint
 from flagrank.models import catalog_list, model_eq3, model_eq4
 from util import brute_growth_at, certified_rank, change_frame, combine, \
     evaluated_growth_at, family_parameter, rand_invertible, rand_polynomial, \
-    rank_or_pole, rescaled_frame, sc, vf
+    rank_or_pole, rescaled_frame, sc, spans_equal, vf
 
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
 PDE = Chart("PDE", ("u1", "u2", "u3", "x", "y", "z"))

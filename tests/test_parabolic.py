@@ -8,13 +8,13 @@ import pytest
 from flagrank import Analysis, Chart, Distribution, FlagBranch, ParabolicFlag, \
     PointClass, SymbolClass, Verdict, bracket_span, branch_classify, \
     coordinate_field, derived_flag, e_subdistribution, frobenius_integrable, \
-    get_model, load_model, parabolic_flag, spans_equal, symbol_algebra_at, \
+    get_model, load_model, parabolic_flag, symbol_algebra_at, \
     symbol_d_function, verify_flag_relations
 from flagrank.distribution import Distribution as Dist
 from flagrank.models import model_eq3, model_eq4
 from flagrank.errors import NotParabolic, NotParabolicNonDeg, RankUnexpected, \
     SingularDistribution
-from util import change_frame, rand_invertible, sc, vf
+from util import change_frame, rand_invertible, sc, spans_equal, vf
 
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
 PDE = Chart("PDE", ("u1", "u2", "u3", "x", "y", "z"))

@@ -5,11 +5,11 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from flagrank import AdaptedFrame, Distribution, Polynomial, RatFunc, VectorField, \
-    lie_bracket, parse_scalar
+from flagrank import AdaptedFrame, Distribution, FlagBranch, Polynomial, RatFunc, \
+    VectorField, bracket_span, coordinate_field, lie_bracket, parse_scalar
 from flagrank import linalg
 from flagrank.errors import PoleAtPoint
-from flagrank.linalg import fraction_rank
+from flagrank.linalg import Echelon, fraction_rank, rank_generic
 
 
 def sc(chart, text):
@@ -42,6 +42,57 @@ def rank_or_pole(rank, *args):
         return rank(*args)
     except PoleAtPoint as exc:
         return str(exc)
+
+
+def spans_equal(fields_a, fields_b):
+    """True iff the lists span the same space; only ``fields_b`` is eliminated.
+
+    A field of ``fields_a`` outside it returns False at once.  The others'
+    coordinates in its reduced rows are their pivot-column entries, and the
+    spans are equal iff those rows have the rank of ``fields_b``.
+    """
+    width = (fields_a or fields_b)[0].chart.dimension
+    ech_b = Echelon(width, [f.coefficients for f in fields_b])
+    pivots = ech_b.pivot_columns()
+    coords = []
+    for f in fields_a:
+        if any(not e.is_zero() for e in ech_b.residual(f.coefficients)):
+            return False
+        coords.append([f.coefficients[c] for c in pivots])
+    return rank_generic(coords) == ech_b.rank
+
+
+def ref_flag_relations(flag):
+    """``(name, holds)`` of each flag relation, one ``bracket_span`` each.
+
+    The slow twin of ``verify_flag_relations``: every relation brackets its
+    own pair of stratum frames and compares the generators' span with the
+    expected stratum's frame (or the coordinate frame for TM).
+    """
+    d1, d2, d3, d4, d5 = flag.strata
+    chart = d1.chart
+    tangent = [coordinate_field(chart, v) for v in chart.variables]
+    if flag.branch is FlagBranch.NONDEGENERATE:
+        relations = [("[D1,D2]=D2", d1, d2, d2), ("[D1,D3]=D4", d1, d3, d4),
+                     ("[D1,D4]=D4", d1, d4, d4), ("[D1,D5]=D5", d1, d5, d5),
+                     ("[D2,D3]=D5", d2, d3, d5), ("[D2,D4]=D5", d2, d4, d5),
+                     ("[D2,D5]=TM", d2, d5, None)]
+    else:
+        relations = [("[D1,D2]=D2", d1, d2, d2), ("[D1,D3]=D4", d1, d3, d4),
+                     ("[D1,D4]=D4", d1, d4, d4), ("[D4,D4]=D5", d4, d4, d5),
+                     ("[D2,D4]=D5", d2, d4, d5), ("[D2,D5]=D5", d2, d5, d5),
+                     ("[D5,D5]=TM", d5, d5, None)]
+    return [(name, spans_equal(bracket_span(a.frame, b.frame),
+                               tangent if c is None else list(c.frame)))
+            for name, a, b, c in relations]
+
+
+def ref_depth4_closed(flag):
+    """True iff every generator of D4 + [D4, D4] lies in D5, from D4's own
+    frame: the slow twin of the depth-4 check in ``Analysis.branch``."""
+    ech5 = flag[5].echelon()
+    return all(ech5.contains(g.coefficients)
+               for g in bracket_span(flag[4].frame, flag[4].frame))
 
 
 def certified_prefix_ranks(pairs, prefixes):
