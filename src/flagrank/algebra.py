@@ -19,6 +19,11 @@ gcd runs against a denominator of one (it is one).  Each short path returns
 the canonical value the full computation builds.  Values are shared, so no
 code may mutate ``Polynomial.terms`` in place.
 
+A sum of products s * a * b, the shape of every bracket, directional
+derivative and pairing, is one call of ``sum_of_products``: the products
+over denominators of one go into one term dict, the rest are lifted to the
+lcm of their denominators, and one gcd reduces the sum.
+
 Each monomial is one packed ``int``, and ``Polynomial.terms`` maps these
 keys to coefficients.  On a chart of dimension n every field is
 ``_WIDTH`` = 32 bits wide: variable i sits at shift (n - 1 - i) * 32 and the
@@ -32,10 +37,11 @@ total degree must stay below 2^31, so no field can carry into the next:
 reaching the bound raises ``DegreeOverflow`` and never wraps.
 
 Fractions are reduced by ``poly_gcd``, which is exact and has no slow cliff:
-operands with a variable on one side only split into coefficient gcds,
-coprime operands are certified by one image mod 2^61 - 1 per variable, and
-what is left goes to the integer-evaluation heuristic and then to Brown's
-dense modular gcd, each proved by trial division.  The quotient rule takes
+coprime operands are certified by one image mod 2^61 - 1 per shared
+variable, operands with a variable on one side only split into coefficient
+gcds, a divisor with fewer terms is found by one division, and what is left
+goes to the integer-evaluation heuristic and then to Brown's dense modular
+gcd, each proved by trial division.  The quotient rule takes
 no gcd against den^2 (see ``RatFunc._partial``).
 """
 
@@ -451,22 +457,26 @@ def poly_gcd(f, g):
     """GCD over the integers, positive graded-lex leading coefficient.
 
     After the common monomial and the common integer content are stripped,
-    four exact steps run, cheapest first:
+    a common divisor contains only variables that both operands use; with
+    none shared the gcd is the integer content gcd.  Otherwise five exact
+    steps run, cheapest first:
 
-    1. Shared-variable split.  A common divisor contains only variables
-       that both operands use.  When some variable occurs in one operand
+    1. Coprimality certificate.  Every variable either operand uses gets a
+       fixed value mod p = 2^61 - 1, except one shared variable v at a
+       time.  If one operand's leading coefficient in v stays nonzero
+       there, the gcd's does too (it divides it), so a constant F_p[v] gcd
+       of the two images proves deg_v gcd = 0.  When every shared v
+       passes, the gcd is a constant; an image never decides anything
+       else.  A coprime gcd(N, (1 + z^2)^k) thus costs one image of N.
+    2. Shared-variable split.  When some variable occurs in one operand
        only, the gcd is the gcd of both operands' coefficients, read as
-       polynomials in the variables outside that shared set; it is the
-       integer content gcd when no variable is shared.
-    2. Coprimality certificate.  For each shared variable v the other
-       variables get fixed values mod p = 2^61 - 1.  If one operand's
-       leading coefficient in v stays nonzero there, the gcd's does too
-       (it divides it), so a constant F_p[v] gcd of the two images proves
-       deg_v gcd = 0.  When every v passes, the gcd is a constant; an
-       image never decides anything else.
-    3. The integer-evaluation heuristic, whose candidates are proved by
-       exact trial division.
-    4. When the heuristic gives up, Brown's dense modular gcd
+       polynomials in the variables outside the shared set.
+    3. Divides-first.  When the operand with fewer terms divides the
+       other, it is the gcd: one exact division.
+    4. The integer-evaluation heuristic, whose candidates are proved by
+       exact trial division: six attempts at the top level, one at each
+       recursive level.
+    5. When the heuristic gives up, Brown's dense modular gcd
        (``_brown_gcd``), also proved by trial division.
     """
     _require_same_chart(f, g)
@@ -497,6 +507,8 @@ def poly_gcd(f, g):
 
 def _common_monomial(f, g):
     """The largest monomial dividing every term of f and g; None if it is 1."""
+    if 0 in f.terms or 0 in g.terms:
+        return None
     chart = f.chart
     key = 0
     for s, unit in zip(chart._shifts, chart._units):
@@ -539,7 +551,9 @@ def _heuristic_gcd(f, g, depth=0):
     var = next(i for i in range(chart.dimension)
                if f._deg_in(i) > 0 or g._deg_in(i) > 0)
     xi = 2 * min(f.max_norm(), g.max_norm()) + 29
-    for _ in range(6):
+    # six attempts at the top level, one below it: k variables then cost at
+    # most 6 evaluation chains, not 6^k
+    for _ in range(1 if depth else 6):
         if xi.bit_length() * max(f._deg_in(var), g._deg_in(var)) > 12000:
             return None
         fe = f.eval_var(var, xi)
@@ -593,11 +607,15 @@ def _coprime_content_gcd(f, g):
     shared = used_f & used_g
     if not shared:
         return Polynomial.one(f.chart)
+    if _coprime_mod_p(f, g, sorted(shared), sorted(used_f | used_g)):
+        return Polynomial.one(f.chart)
     if used_f != used_g:
         return _gcd_fold(_coefficients(f, used_f - shared)
                          + _coefficients(g, used_g - shared))
-    if _coprime_mod_p(f, g, sorted(shared)):
-        return Polynomial.one(f.chart)
+    # coprime contents: a divisor with fewer terms is primitive, so it is the gcd
+    small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
+    if _divides(small, large):
+        return small.sign_normalized()
     result = _heuristic_gcd(f, g)
     return _brown_gcd(f, g) if result is None else result
 
@@ -629,15 +647,18 @@ def _gcd_fold(polys):
 _PRIME = (1 << 61) - 1
 
 
-def _coprime_mod_p(f, g, indices):
+def _coprime_mod_p(f, g, indices, used):
     """True when images mod p prove that gcd(f, g) has degree 0 in each of
-    ``indices``, the variables that f and g contain.
+    ``indices``, the variables that both f and g contain; ``used`` lists
+    every variable that f or g contains.
 
-    Every other variable gets a fixed residue.  lc_v(gcd) divides lc_v(f)
-    and lc_v(g), so when either stays nonzero mod p the gcd's image keeps
-    its degree in v, and that image divides the F_p[v] gcd of the images.
+    For each v in ``indices`` every other variable of ``used`` gets a fixed
+    residue.  The gcd contains only variables of ``indices``, and lc_v(gcd)
+    divides lc_v(f) and lc_v(g), so when either stays nonzero mod p the
+    gcd's image keeps its degree in v, and that image divides the F_p[v]
+    gcd of the images.
     """
-    point = [(i, _certificate_residue(i)) for i in indices]
+    point = [(i, _certificate_residue(i)) for i in used]
     for i in indices:
         fi, gi = _image_mod(f, i, point), _image_mod(g, i, point)
         # the last entry of each image is its leading coefficient in v
@@ -656,14 +677,23 @@ def _image_mod(poly, i, point):
     """Coefficients mod p of ``poly`` in variable i, lowest degree first,
     with every other variable of ``point`` set to its residue."""
     shifts = poly.chart._shifts
-    out = [0] * (poly._deg_in(i) + 1)
+    s = shifts[i]
+    # one power table [1, r, r^2, ...] mod p per fixed variable, grown on demand
+    tables = [(shifts[j], [1, value]) for j, value in point if j != i]
+    by_degree = {}
     for k, c in poly.terms.items():
-        for j, value in point:
-            e = (k >> shifts[j]) & _FIELD
-            if e and j != i:
-                c = c * pow(value, e, _PRIME) % _PRIME
-        out[(k >> shifts[i]) & _FIELD] += c
-    return [c % _PRIME for c in out]
+        for t, table in tables:
+            e = (k >> t) & _FIELD
+            if e:
+                while len(table) <= e:
+                    table.append(table[-1] * table[1] % _PRIME)
+                c = c * table[e] % _PRIME
+        e = (k >> s) & _FIELD
+        by_degree[e] = by_degree.get(e, 0) + c
+    out = [0] * (max(by_degree) + 1)
+    for e, c in by_degree.items():
+        out[e] = c % _PRIME
+    return out
 
 
 # --- Brown's dense modular gcd (W. S. Brown, JACM 18, 1971) ---
@@ -1248,6 +1278,74 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.render()})"
+
+
+def sum_of_products(chart, triples):
+    """The canonical ``RatFunc`` sum of s * a * b over (a, b, s) triples,
+    with ``RatFunc`` factors a, b on ``chart`` and signs s = 1 or -1; the
+    one exact path for a sum of products.
+
+    A sum of no nonzero product is the chart's zero and a sum of one is
+    that product.  Beyond that, products run no gcd and build no
+    ``RatFunc``.  Those over denominators of one add their terms into one
+    dict; the others are grouped by their denominator q_a * q_b, equal ones
+    by value.  D is the lcm of these denominators, built from gcds among
+    them alone, each group's numerator is lifted by its cofactor
+    D / (q_a * q_b), and one gcd of the total against D reduces the sum.
+    """
+    live = [t for t in triples if t[0].num.terms and t[1].num.terms]
+    if not live:
+        return chart.zero()
+    if len(live) == 1:
+        # one product: ``RatFunc.__mul__`` returns a factor of one's partner
+        [(a, b, s)] = live
+        product = a * b
+        return product if s > 0 else -product
+    plain = {}  # the products over denominators of one
+    groups = {}  # product denominator -> the terms of its numerators' sum
+    for a, b, s in live:
+        an, bn = a.num.terms, b.num.terms
+        qa, qb = a.den, b.den
+        if qa.is_one() and qb.is_one():
+            out = plain
+        else:
+            out = groups.setdefault(qa * qb, {})
+        if len(bn) < len(an):
+            an, bn = bn, an
+        for k1, c1 in an.items():
+            c1 *= s
+            for k2, c2 in bn.items():
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+    # Factors' exponents and degrees are below 2^31, so a key sum carries
+    # into no other field, and cancelled keys stay in the dicts: a product
+    # reached the degree bound iff some key is at the limit.
+    for out in (plain, *groups.values()):
+        if out and max(out) >= chart._limit:
+            raise DegreeOverflow(f"product of total degree {max(out) >> chart._degree_shift}"
+                                 " reaches the bound 2^31")
+    plain = {k: c for k, c in plain.items() if c}
+    if not groups:
+        return RatFunc._reduced(Polynomial._packed(chart, plain), chart.one().num)
+    denominators = iter(groups)
+    den = next(denominators)
+    for q in denominators:
+        g = poly_gcd(den, q)
+        den = den * (q if g.is_one() else q.divexact(g))
+    total = dict((Polynomial._packed(chart, plain) * den).terms) if plain else {}
+    for q, terms in groups.items():
+        terms = {k: c for k, c in terms.items() if c}
+        if terms:
+            lifted = Polynomial._packed(chart, terms) * den.divexact(q)
+            for k, c in lifted.terms.items():
+                total[k] = total.get(k, 0) + c
+    num = Polynomial._packed(chart, {k: c for k, c in total.items() if c})
+    if not num.terms:
+        return chart.zero()
+    g = poly_gcd(num, den)
+    if g.is_one():
+        return RatFunc._reduced(num, den)
+    return RatFunc._reduced(num.divexact(g), den.divexact(g))
 
 
 class PointQ:

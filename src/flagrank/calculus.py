@@ -2,17 +2,21 @@
 
 ``VectorField.apply(f)`` sums c_i * d_i f over the partials of f only, and
 each ``RatFunc`` computes its partials once per object, so a coefficient
-that many brackets share is differentiated once.
+that many brackets share is differentiated once.  ``apply``, each
+coefficient of ``lie_bracket`` and ``pairing`` are each one call of
+``algebra.sum_of_products``: the products are summed over a common
+denominator and reduced once, with no intermediate ``RatFunc``.
 """
 
 from __future__ import annotations
 
-from .algebra import RatFunc
+from .algebra import RatFunc, sum_of_products
 from .errors import ChartMismatch
 
 
 class _Covariant:
-    __slots__ = ("chart", "coefficients")
+    # values are immutable, so the hash is computed once, on first use
+    __slots__ = ("chart", "coefficients", "_hash")
 
     atom = None  # format of the coordinate basis element, e.g. "@{}"
 
@@ -24,10 +28,11 @@ class _Covariant:
             raise ValueError(
                 f"expected {chart.dimension} coefficients, got {len(coefficients)}")
         for c in coefficients:
-            if c.chart != chart:
+            if c.chart is not chart and c.chart != chart:
                 raise ChartMismatch("coefficient chart differs from carrier chart")
         self.chart = chart
         self.coefficients = coefficients
+        self._hash = None
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coefficients)
@@ -41,7 +46,9 @@ class _Covariant:
         return self.chart == other.chart and self.coefficients == other.coefficients
 
     def __hash__(self):
-        return hash((type(self).__name__, self.chart, self.coefficients))
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self.chart, self.coefficients))
+        return self._hash
 
     def _combine(self, other, sign):
         if not isinstance(other, type(self)):
@@ -85,13 +92,15 @@ class VectorField(_Covariant):
 
     def apply(self, f):
         """Directional derivative of a scalar function."""
-        out = self.chart.zero()
+        if f.chart != self.chart:
+            raise ChartMismatch("function and field live on different charts")
+        return sum_of_products(self.chart, self._derivative_terms(f, 1))
+
+    def _derivative_terms(self, f, sign):
+        """The (c_i, d_i f, sign) triples of ``apply(f)``."""
         coefficients = self.coefficients
-        for i, d in f.partials().items():
-            c = coefficients[i]
-            if not c.is_zero():
-                out = out + c * d
-        return out
+        return [(c, d, sign) for i, d in f.partials().items()
+                if (c := coefficients[i]).num.terms]
 
 
 class OneForm(_Covariant):
@@ -116,7 +125,8 @@ def lie_bracket(x, y):
         raise TypeError("lie_bracket needs two vector fields")
     if x.chart != y.chart:
         raise ChartMismatch("bracket of fields on different charts")
-    coeffs = [x.apply(cy) - y.apply(cx)
+    coeffs = [sum_of_products(x.chart, x._derivative_terms(cy, 1)
+                              + y._derivative_terms(cx, -1))
               for cx, cy in zip(x.coefficients, y.coefficients)]
     return VectorField(x.chart, coeffs)
 
@@ -125,7 +135,5 @@ def pairing(form, field):
     """Natural pairing <w, X> = sum_i w_i X^i."""
     if form.chart != field.chart:
         raise ChartMismatch("pairing across charts")
-    out = form.chart.zero()
-    for a, b in zip(form.coefficients, field.coefficients):
-        out = out + a * b
-    return out
+    return sum_of_products(form.chart, [(a, b, 1) for a, b in
+                                        zip(form.coefficients, field.coefficients)])

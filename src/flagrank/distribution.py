@@ -17,6 +17,7 @@ the parabolic flag's strata are decided by its bracket table
 
 from __future__ import annotations
 
+from .algebra import sum_of_products
 from .calculus import VectorField, lie_bracket, pairing
 from .errors import ChartMismatch, ConsistencyError, DependentForms, NotRank35
 from .linalg import Echelon, PointRank, kernel_basis, rank_generic
@@ -134,12 +135,12 @@ def annihilator_frame(forms):
 
 
 def combine(fields, coords):
-    """The field sum(c_i * F_i); None for no fields."""
-    combo = None
-    for c, f in zip(coords, fields):
-        part = f.scale(c)
-        combo = part if combo is None else combo + part
-    return combo
+    """The field sum(c_i * F_i) of nonempty ``fields`` and ``RatFunc``
+    coefficients ``coords``."""
+    chart = fields[0].chart
+    return VectorField(chart, [
+        sum_of_products(chart, [(c, f.coefficients[k], 1) for c, f in zip(coords, fields)])
+        for k in range(chart.dimension)])
 
 
 def derived_flag(dist):

@@ -342,7 +342,8 @@ def test_shared_variable_split_matches_prs(pair):
 def test_coprimality_certificate_matches_prs(h, a, b):
     for f, g in ((a, b), (h * a, h * b)):
         expected = prs_gcd(f, g)
-        if f._used() == g._used() and _coprime_mod_p(f, g, sorted(f._used())):
+        used_f, used_g = f._used(), g._used()
+        if _coprime_mod_p(f, g, sorted(used_f & used_g), sorted(used_f | used_g)):
             assert expected.is_constant()
         assert poly_gcd(f, g) == expected
 
@@ -350,16 +351,54 @@ def test_coprimality_certificate_matches_prs(h, a, b):
 def test_coprimality_certificate_passes_and_refuses():
     x, y, z = (Polynomial.variable(CH, v) for v in "xyz")
     one = Polynomial.one(CH)
-    assert _coprime_mod_p(one + z * z, z * 2, [2])
-    assert _coprime_mod_p(x * y + one, x * y - one, [0, 1])
+    assert _coprime_mod_p(one + z * z, z * 2, [2], [2])
+    assert _coprime_mod_p(x * y + one, x * y - one, [0, 1], [0, 1])
     rx, ry = (Polynomial.constant(CH, _certificate_residue(i)) for i in (0, 1))
     # every leading coefficient of h vanishes at the certificate's point,
     # so each image of h there is one and the images of f and g are coprime
     h = (x - rx) * (y - ry) * z + one
     f = h * (x + y + z + Polynomial.constant(CH, 2))
     g = h * (x - y + z * 2 + Polynomial.constant(CH, 3))
-    assert not _coprime_mod_p(f, g, [0, 1, 2])
+    assert not _coprime_mod_p(f, g, [0, 1, 2], [0, 1, 2])
     assert poly_gcd(f, g) == h == prs_gcd(f, g)
+
+
+def test_certificate_runs_before_the_shared_variable_split():
+    x, y, z = (Polynomial.variable(CH, v) for v in "xyz")
+    one, two, three = (Polynomial.constant(CH, c) for c in (1, 2, 3))
+    rx, ry = (Polynomial.constant(CH, _certificate_residue(i)) for i in (0, 1))
+    h = one + z * z
+    cases = [
+        # coprime: one image over every variable proves it, with no split
+        (h ** 3, x * z + y + one, True),
+        # a shared factor: the certificate refuses and the split finds it
+        (h * (x + z), h * h * (y - one), False),
+        # both leading coefficients in z vanish at the certificate's point,
+        # so it proves nothing and the split decides
+        ((x - rx) * z + one, (y - ry) * z * z + z + three, False),
+        ((z + two) * ((x - rx) * z + one), (z + two) * ((y - ry) * z * z + z + three), False),
+    ]
+    for f, g, certified in cases:
+        used_f, used_g = f._used(), g._used()
+        assert used_f != used_g
+        assert _coprime_mod_p(f, g, sorted(used_f & used_g),
+                              sorted(used_f | used_g)) is certified
+        expected = prs_gcd(f, g)
+        assert poly_gcd(f, g) == expected == poly_gcd(g, f)
+        assert expected.is_one() or not certified
+    assert poly_gcd(*cases[1][:2]) == h
+    assert poly_gcd(*cases[3][:2]) == z + two
+
+
+def test_divisor_with_fewer_terms_is_the_gcd():
+    x, y, z = (Polynomial.variable(CH6, v) for v in ("x", "y", "z"))
+    u1, u2, u3 = (Polynomial.variable(CH6, v) for v in ("u1", "u2", "u3"))
+    three, nine = Polynomial.constant(CH6, 3), Polynomial.constant(CH6, 9)
+    # the eq4 denominator 3 + 9*u2 - 2*u1 + 6*x*w with w = u3 + y*z
+    d = three + nine * u2 - u1 * 2 + x * (u3 + y * z) * 6
+    assert poly_gcd(d ** 3, d ** 4) == d ** 3 == poly_gcd(-(d ** 4), d ** 3)
+    e = Polynomial.one(CH6) + u1 * x
+    assert poly_gcd(d ** 3 * e, d ** 4) == d ** 3 == prs_gcd(d * e, d ** 2) * d ** 2
 
 
 @settings(max_examples=80, deadline=None)

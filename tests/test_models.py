@@ -77,13 +77,20 @@ def test_eq4_family_verdict_stable():
         assert report.equation_type is True
 
 
-# Members over a cubic or a three-term w denominator: w becomes u3 + y*z in
-# eq4, and the quotient rule's gcds on these used to run for minutes.
+# Members over a cubic or a several-term w denominator: w becomes u3 + y*z
+# in eq4, and gcds between powers of such denominators used to run for
+# seconds to minutes.
 @pytest.mark.parametrize("parameter", [
     "x*u1/(2 + w^3)",
     "x*u1/(1 + w^2 + x^2)",
     "(x^3*u1 - 2*u2^2*z + w^2*x - 3*u1*w + z^3)/(1 + w^2 + x^2)",
-], ids=["cubic", "three-term", "three-term-dense"])
+    "x*u1/(3 - 2*w^3 + u2)",
+    "(x + u1)/(2 + u2 + w^2*x)",
+    "x*u1/(3 + 9*u2 - 2*u1 + 6*x*w)",
+    "(9*w + 9*u2 - 9*u2*w - 9*u1 - 8*u1*w^2 - u1*z - 3*u1*z*w - 8*u1*z*w^2 - 9*x*u2"
+    " - 6*x^2)/(3 - 2*w^3 + 9*u2 - 2*u1 + 6*x*w)",
+], ids=["cubic", "three-term", "three-term-dense", "cubic-three-term", "w-squared-times-x",
+        "five-term", "five-term-dense"])
 def test_eq4_family_verdict_over_cubic_and_three_term_denominators(parameter):
     report = branch_classify(model_eq4(parameter))
     assert report.verdict is Verdict.THEOREM2
