@@ -468,6 +468,8 @@ def poly_gcd(f, g):
        of the two images proves deg_v gcd = 0.  When every shared v
        passes, the gcd is a constant; an image never decides anything
        else.  A coprime gcd(N, (1 + z^2)^k) thus costs one image of N.
+       A v whose degrees in f and g multiply past ``_CERTIFICATE_WORK``
+       is left to the next steps.
     2. Shared-variable split.  When some variable occurs in one operand
        only, the gcd is the gcd of both operands' coefficients, read as
        polynomials in the variables outside the shared set.
@@ -645,6 +647,9 @@ def _gcd_fold(polys):
 
 
 _PRIME = (1 << 61) - 1
+# The certificate's F_p[v] gcd is dense: it costs about deg_v f * deg_v g
+# steps, so a variable whose degrees multiply past this is left undecided.
+_CERTIFICATE_WORK = 1 << 16
 
 
 def _coprime_mod_p(f, g, indices, used):
@@ -656,14 +661,18 @@ def _coprime_mod_p(f, g, indices, used):
     residue.  The gcd contains only variables of ``indices``, and lc_v(gcd)
     divides lc_v(f) and lc_v(g), so when either stays nonzero mod p the
     gcd's image keeps its degree in v, and that image divides the F_p[v]
-    gcd of the images.
+    gcd of the images.  A v of too high a degree (``_CERTIFICATE_WORK``)
+    gives False, as does a vanishing pair of leading coefficients.
     """
     point = [(i, _certificate_residue(i)) for i in used]
     for i in indices:
         fi, gi = _image_mod(f, i, point), _image_mod(g, i, point)
-        # the last entry of each image is its leading coefficient in v
-        if not (fi[-1] or gi[-1]) \
-                or len(_gcd_univariate(_trim(fi), _trim(gi), _PRIME)) != 1:
+        df, dg = max(fi), max(gi)
+        if df * dg > _CERTIFICATE_WORK or not (fi[df] or gi[dg]):
+            return False
+        fi = _trim([fi.get(e, 0) for e in range(df + 1)])
+        gi = _trim([gi.get(e, 0) for e in range(dg + 1)])
+        if len(_gcd_univariate(fi, gi, _PRIME)) != 1:
             return False
     return True
 
@@ -674,26 +683,25 @@ def _certificate_residue(i):
 
 
 def _image_mod(poly, i, point):
-    """Coefficients mod p of ``poly`` in variable i, lowest degree first,
-    with every other variable of ``point`` set to its residue."""
+    """``{degree in variable i: coefficient mod p}`` of ``poly``, with every
+    other variable of ``point`` set to its residue; every degree that
+    ``poly`` has in i is a key, also where its image is 0."""
     shifts = poly.chart._shifts
     s = shifts[i]
-    # one power table [1, r, r^2, ...] mod p per fixed variable, grown on demand
-    tables = [(shifts[j], [1, value]) for j, value in point if j != i]
-    by_degree = {}
+    # r^e mod p per fixed variable, kept by exponent: exponents run to 2^31
+    tables = [(shifts[j], value, {}) for j, value in point if j != i]
+    image = {}
     for k, c in poly.terms.items():
-        for t, table in tables:
+        for t, value, table in tables:
             e = (k >> t) & _FIELD
             if e:
-                while len(table) <= e:
-                    table.append(table[-1] * table[1] % _PRIME)
-                c = c * table[e] % _PRIME
+                power = table.get(e)
+                if power is None:
+                    power = table[e] = pow(value, e, _PRIME)
+                c = c * power % _PRIME
         e = (k >> s) & _FIELD
-        by_degree[e] = by_degree.get(e, 0) + c
-    out = [0] * (max(by_degree) + 1)
-    for e, c in by_degree.items():
-        out[e] = c % _PRIME
-    return out
+        image[e] = image.get(e, 0) + c
+    return {e: c % _PRIME for e, c in image.items()}
 
 
 # --- Brown's dense modular gcd (W. S. Brown, JACM 18, 1971) ---
@@ -1292,6 +1300,10 @@ def sum_of_products(chart, triples):
     by value.  D is the lcm of these denominators, built from gcds among
     them alone, each group's numerator is lifted by its cofactor
     D / (q_a * q_b), and one gcd of the total against D reduces the sum.
+
+    The degree bound 2^31 applies to each product after ``RatFunc``'s
+    cross-cancellation, as in ``a * b``, and to D and the numerators lifted
+    to it.
     """
     live = [t for t in triples if t[0].num.terms and t[1].num.terms]
     if not live:
@@ -1318,12 +1330,13 @@ def sum_of_products(chart, triples):
                 k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
     # Factors' exponents and degrees are below 2^31, so a key sum carries
-    # into no other field, and cancelled keys stay in the dicts: a product
-    # reached the degree bound iff some key is at the limit.
-    for out in (plain, *groups.values()):
-        if out and max(out) >= chart._limit:
-            raise DegreeOverflow(f"product of total degree {max(out) >> chart._degree_shift}"
-                                 " reaches the bound 2^31")
+    # into no other field, and cancelled keys stay in the dicts: some key is
+    # at the limit iff some unreduced product reached the degree bound.
+    # Then the sum is taken again over the reduced products a * b, each of
+    # which raises ``DegreeOverflow`` if it still reaches the bound.
+    if any(out and max(out) >= chart._limit for out in (plain, *groups.values())):
+        one = chart.one()
+        return sum_of_products(chart, [(a * b, one, s) for a, b, s in live])
     plain = {k: c for k, c in plain.items() if c}
     if not groups:
         return RatFunc._reduced(Polynomial._packed(chart, plain), chart.one().num)

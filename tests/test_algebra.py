@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagrank import Chart, Polynomial, RatFunc, catalog_list, cli
+from flagrank import Chart, Polynomial, RatFunc, catalog_list, cli, load_model
 from flagrank.algebra import _brown_gcd, _certificate_residue, _coprime_mod_p, \
     _heuristic_gcd, decimal_to_int, int_to_decimal, poly_gcd
 from flagrank.errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
@@ -388,6 +388,20 @@ def test_certificate_runs_before_the_shared_variable_split():
         assert expected.is_one() or not certified
     assert poly_gcd(*cases[1][:2]) == h
     assert poly_gcd(*cases[3][:2]) == z + two
+
+
+def test_huge_exponents_cost_their_bit_length():
+    # x^(2^31 - 2) is fixed by one modular power, not a table out to the
+    # exponent, and a shared variable of that degree is left to the split
+    model = load_model("chart M(x, y, z)\nfield X = @x + x^2147483646*y/(1 + y^2)*@y\n")
+    coefficient = model.fields["X"].coefficients[1]
+    assert coefficient.render() == "(x^2147483646*y)/(y^2 + 1)"
+    x, y, z = (Polynomial.variable(CH, v) for v in "xyz")
+    big = x ** (_BOUND - 2)
+    assert not _coprime_mod_p(big + x * y, big + z, [0], [0, 1, 2])
+    assert poly_gcd(big + x * y, x + z).is_one()
+    assert poly_gcd(big + x * y, big + z).is_one()
+    assert poly_gcd(big * (y + z), (y + z) * (y - z)) == y + z
 
 
 def test_divisor_with_fewer_terms_is_the_gcd():

@@ -108,3 +108,16 @@ def test_products_past_the_degree_bound_raise():
     # one degree less stays inside the bound
     below = sum_of_products(CH, [(top, CH.one(), 1), (y, y, 1)])
     assert below.num.total_degree() == DEGREE_BOUND - 1
+
+
+def test_degree_bound_applies_after_cross_cancellation():
+    # x^(2^31 - 2)*(1 + z) times x/(1 + z) is x^(2^31 - 1), as with ``*``,
+    # though the unreduced product's numerator has degree 2^31
+    one = Polynomial.one(CH)
+    x, y, z = (Polynomial.variable(CH, v) for v in "xyz")
+    top = RatFunc(x ** (DEGREE_BOUND - 2) * (one + z), one)
+    over, ys = sc(CH, "x/(1 + z)"), sc(CH, "y")
+    high = x ** (DEGREE_BOUND - 1)
+    for triples, num in (([(top, over, 1), (ys, ys, 1)], high + y * y),
+                         ([(ys, ys, 1), (over, top, -1)], y * y - high)):
+        _same(sum_of_products(CH, triples), RatFunc(num, one))
