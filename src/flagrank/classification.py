@@ -170,7 +170,10 @@ def sample_points(chart, seed, budget=None):
         yield PointQ(chart, coords)
 
 
-def classify_form_generic(form, seed=0):
+def classify_form_generic(form, points):
+    """The form's generic class; a non-constant determinant takes the sign
+    of its first nonzero value at a point of ``points`` (the caller's sample
+    stream) where the adapted frame has full rank."""
     rank = rank_generic(form.matrix())
     if rank == 0:
         return PointClass.PARABOLIC_DEG
@@ -181,7 +184,7 @@ def classify_form_generic(form, seed=0):
         value = det.constant_value()
         return PointClass.ELLIPTIC if value > 0 else PointClass.HYPERBOLIC
     chart = det.chart
-    for p in sample_points(chart, seed, _SEARCH_BUDGET):
+    for p in points:
         try:
             if form.frame.rank_at(p) != chart.dimension:
                 continue
@@ -235,44 +238,44 @@ class RegularityReport:
         }
 
 
-def regularity_scan(dist, n_samples=20, seed=0, retry_factor=_RETRY_FACTOR):
+def regularity_scan(dist, n_samples=20, seed=0):
     """Classify at seeded sample points and test constancy of the class.
 
     Points where the growth vector drops, the adapted frame degenerates, or a
-    pole appears are skipped (with a retry budget); a successfully classified
-    point whose class differs from the generic one makes the verdict
-    singular.
+    pole appears are skipped (within a budget of ``_RETRY_FACTOR`` points per
+    wanted sample); a successfully classified point whose class differs from
+    the generic one makes the verdict singular.
     """
-    return Classification(dist).scan(n_samples, seed, retry_factor)
+    return Classification(dist, n_samples, seed).scan
 
 
 class Classification:
     """The classification stages of one distribution, each built at most once.
 
-    Derived flag, adapted frame, bracket form, generic class (per seed) and
-    regularity scan (per argument triple) are built on first use and kept for
-    the object's life: one request or one public call.  So are the sample
-    points of each seed, which every stage that samples reads.
+    The sample count and the seed are fixed when the object is built.  The
+    derived flag, adapted frame, bracket form, generic class and regularity
+    scan are built on first use and kept for the object's life: one request
+    or one public call.  Every stage that samples reads one stream of points,
+    ``points``, so each point is built once per object.
     """
 
-    def __init__(self, dist):
+    def __init__(self, dist, samples=20, seed=0):
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         self.dist = dist
-        self._classes = {}
-        self._scans = {}
-        self._points = {}  # seed -> (points drawn so far, the stream)
+        self.samples = samples
+        self.seed = seed
+        self._drawn = []
+        self._stream = sample_points(dist.chart, seed)
 
-    def points(self, seed, budget):
-        """The first ``budget`` points of ``sample_points`` for the seed.
-
-        One list per seed, extended on demand, so each point (with the
-        monomial values it keeps) is built once per object.
-        """
-        if seed not in self._points:
-            self._points[seed] = ([], sample_points(self.dist.chart, seed))
-        drawn, stream = self._points[seed]
+    def points(self, budget):
+        """The first ``budget`` points of the seed's ``sample_points``, from
+        one list extended on demand: each point (with the monomial values it
+        keeps) is built once per object."""
+        drawn = self._drawn
         for i in range(budget):
             if i == len(drawn):
-                drawn.append(next(stream))
+                drawn.append(next(self._stream))
             yield drawn[i]
 
     @cached_property
@@ -313,10 +316,9 @@ class Classification:
     def form(self):
         return bracket_form(self.dist, self.frame)
 
-    def generic_class(self, seed=0):
-        if seed not in self._classes:
-            self._classes[seed] = classify_form_generic(self.form, seed=seed)
-        return self._classes[seed]
+    @cached_property
+    def generic_class(self):
+        return classify_form_generic(self.form, self.points(_SEARCH_BUDGET))
 
     def class_at(self, point):
         form = self.form
@@ -327,19 +329,16 @@ class Classification:
                 f"adapted frame degenerates at {point.render()}; choose another point")
         return _classify_values(*form.evaluate(point))
 
-    def scan(self, n_samples=20, seed=0, retry_factor=_RETRY_FACTOR):
-        key = (n_samples, seed, retry_factor)
-        if key in self._scans:
-            return self._scans[key]
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+    @cached_property
+    def scan(self):
         dist = self.dist
         steps = self.steps
         form = self.form
-        generic = self.generic_class(seed)
+        generic = self.generic_class
+        n_samples = self.samples
         samples = []
         skipped = []
-        points = self.points(seed, n_samples * retry_factor)
+        points = self.points(n_samples * _RETRY_FACTOR)
         while len(samples) < n_samples:
             p = next(points, None)
             if p is None:
@@ -358,6 +357,5 @@ class Classification:
                 continue
             samples.append(SampleRow(len(samples), p, _classify_values(a11, a12, a22)))
         regular = all(s.point_class == generic for s in samples)
-        self._scans[key] = RegularityReport(generic, tuple(samples),
-                                            tuple(skipped), regular, seed)
-        return self._scans[key]
+        return RegularityReport(generic, tuple(samples), tuple(skipped), regular,
+                                self.seed)

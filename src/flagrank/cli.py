@@ -6,9 +6,10 @@ JSON reports are canonical (sorted keys, no timing) so identical requests
 produce byte-identical output; wall-clock timing appears in text mode only.
 
 ``--tasks`` and ``--point`` are checked before any analysis starts.  Each
-request then builds one ``Analysis`` per target distribution and hands it to
-every task, so tasks share their stages (one derived flag, frame, form,
-scan and flag per distribution) and nothing is kept after the request.
+request then builds one ``Analysis`` per target distribution, with the
+request's ``--samples`` and ``--seed``, and hands it to every task, so tasks
+share their stages (one derived flag, frame, form, generic class, scan and
+flag per distribution) and nothing is kept after the request.
 
 Exit codes: 0 success, 2 model-text errors, an unreadable model file, or a
 malformed ``--tasks``, ``--point`` or ``--seed``, 3 precondition failures,
@@ -113,7 +114,7 @@ def _task_growth(analysis, request):
 
 
 def _task_classify(analysis, request):
-    out = {"generic": analysis.generic_class().value}
+    out = {"generic": analysis.generic_class.value}
     point = request["point"]
     if point is not None:
         out["at_point"] = {"point": point.render(),
@@ -122,7 +123,7 @@ def _task_classify(analysis, request):
 
 
 def _task_scan(analysis, request):
-    return analysis.scan(request["samples"], request["seed"]).to_json_dict()
+    return analysis.scan.to_json_dict()
 
 
 def _task_flag(analysis, request):
@@ -144,7 +145,7 @@ def _task_symbol(analysis, request):
 
 
 def _task_branch(analysis, request):
-    return analysis.branch(request["samples"], request["seed"]).to_json_dict()
+    return analysis.branch.to_json_dict()
 
 
 _RUNNERS = {
@@ -168,7 +169,7 @@ def _task_lift(model, args, request):
     names = names[:3]
     fields = [model.fields[n] for n in names]
     lifted = lift_pair(*fields)
-    report = Analysis(lifted).branch(request["samples"], request["seed"])
+    report = Analysis(lifted, request["samples"], request["seed"]).branch
     return {"pair": names,
             "lifted_chart": {"name": lifted.chart.name,
                              "variables": list(lifted.chart.variables)},
@@ -191,7 +192,8 @@ def _run_tasks(model, request):
         if target is None:
             raise PreconditionError("model declares no distribution to analyze")
         if target_name not in analyses:
-            analyses[target_name] = Analysis(target)
+            analyses[target_name] = Analysis(target, request["samples"],
+                                             request["seed"])
         fragment = _RUNNERS[task](analyses[target_name], request)
         fragment["dist"] = target_name
         results[task] = fragment

@@ -77,7 +77,8 @@ class SampleBudgetExhausted(PreconditionError):
 
 
 class DegreeOverflow(PreconditionError):
-    """A polynomial's total degree would reach 2^31, the packed-monomial bound."""
+    """A polynomial's total degree would reach 2^31, the packed-monomial
+    bound, or a gcd needs dense lists past ``algebra._DENSE_DEGREE``."""
 
 
 class LiftPreconditionFailed(PreconditionError):

@@ -7,8 +7,8 @@ its normalized invariant d in {0, 1}, tests integrability of the reduced
 rank-2 pair through its upstairs preimage, and reports which of the three
 classified branches (or the open one) the input belongs to.
 
-Every stage is built in one place, ``Analysis``: one object per distribution
-that builds each stage on first use and reuses it.  It lives for one request
+Every stage is built in one place, ``Analysis``: one object per distribution,
+sample count and seed that builds each stage on first use and reuses it.  It lives for one request
 or one public call, never longer; ``parabolic_flag``, ``symbol_d_function``,
 ``symbol_algebra_at`` and ``branch_classify`` are thin reads of a fresh one.
 
@@ -416,23 +416,25 @@ def branch_classify(dist, samples=20, seed=0):
     behaviour; the reported pointwise symbol algebra is extracted at the
     first usable seeded sample point.
     """
-    return Analysis(dist).branch(samples, seed)
+    return Analysis(dist, samples, seed).branch
 
 
 class Analysis(Classification):
     """Every pipeline stage of one distribution, each built at most once.
 
-    Adds the flag, its relations, the symbol frame with the first partials
-    of its coefficients (the symbol at a point is built from their values
-    there), the d-function (the one bracket of the frame solved over the
-    function field) and the E-subdistribution.  The flag line's transverse
-    in the rank-2 stratum is chosen once, for the symbol frame and E.
+    Like ``Classification``, built for one sample count and seed.  Adds the
+    flag, its relations, the symbol frame with the first partials of its
+    coefficients (the symbol at a point is built from their values there),
+    the d-function (the one bracket of the frame solved over the function
+    field), the E-subdistribution, the completely-non-degenerate test and
+    the branch report.  The flag line's transverse in the rank-2 stratum is
+    chosen once, for the symbol frame and E.
     """
 
     @cached_property
     def flag(self):
         """The flag of the generic point class."""
-        point_class = self.generic_class()
+        point_class = self.generic_class
         d5 = self.steps[1]
         frame = self.frame
         form = self.form
@@ -577,7 +579,7 @@ class Analysis(Classification):
 
     def symbol_at(self, point):
         """``(SymbolAlgebra, SymbolClass)`` at a point; see ``symbol_algebra_at``."""
-        cls = self.generic_class()
+        cls = self.generic_class
         if cls is not PointClass.PARABOLIC_NONDEG:
             raise NotParabolicNonDeg(f"generic class is {cls.value}")
         point_cls = self.class_at(point)
@@ -619,12 +621,13 @@ class Analysis(Classification):
     def e_sub(self):
         return e_subdistribution(self.dist, self.flag, self.transverse)
 
-    def completely_nondegenerate(self, n_samples=20, seed=0):
+    @cached_property
+    def completely_nondegenerate(self):
         sub = self.e_sub
         steps, growth = derived_flag(sub)
-        points = self.points(seed, n_samples * _RETRY_FACTOR)
+        points = self.points(self.samples * _RETRY_FACTOR)
         good = 0
-        while good < n_samples:
+        while good < self.samples:
             p = next(points, None)
             if p is None:
                 raise SampleBudgetExhausted("no usable sample points for growth scan")
@@ -637,9 +640,9 @@ class Analysis(Classification):
             good += 1
         return True
 
-    def _find_symbol_sample(self, seed):
+    def _find_symbol_sample(self):
         last_error = None
-        for p in self.points(seed, _SEARCH_BUDGET):
+        for p in self.points(_SEARCH_BUDGET):
             try:
                 return self.symbol_at(p)
             except (NotGrowth356, PoleAtPoint, NotParabolicNonDeg) as exc:
@@ -650,10 +653,11 @@ class Analysis(Classification):
         raise SampleBudgetExhausted(
             f"no usable point for symbol extraction: {last_error}")
 
-    def branch(self, samples=20, seed=0):
+    @cached_property
+    def branch(self):
         """The ``BranchReport``; see ``branch_classify``."""
         growth = self.derived[1]
-        scan = self.scan(samples, seed)
+        scan = self.scan
         if not scan.regular:
             raise SingularDistribution(
                 "point class is not constant across the sampled points")
@@ -671,9 +675,9 @@ class Analysis(Classification):
                 verdict=Verdict.THEOREM1, equation_type=None)
         d_func = self.d_function
         sym_class = SymbolClass.G0 if d_func.is_zero() else SymbolClass.G1
-        algebra, _ = self._find_symbol_sample(seed)
+        algebra, _ = self._find_symbol_sample()
         b2 = frobenius_integrable(self.e_sub)
-        cnd = self.completely_nondegenerate(samples, seed)
+        cnd = self.completely_nondegenerate
         depth4_closed = flag.brackets.contained(4, 4, 5)
         if depth4_closed != (sym_class is SymbolClass.G0):
             raise ConsistencyError(

@@ -15,8 +15,8 @@ from flagrank import Analysis, PointClass, SymbolClass, Verdict, adapted_frame, 
     bracket_form, bracket_span, branch_classify, catalog_list, \
     classify_form_generic, coordinate_field, derived_flag, e_subdistribution, \
     get_model, lift_pair, model_eq3, model_eq4, parabolic_flag, regularity_scan, \
-    symbol_algebra_at, symbol_d_function, verify_flag_relations, Chart, \
-    VectorField
+    sample_points, symbol_algebra_at, symbol_d_function, verify_flag_relations, \
+    Chart, VectorField
 from flagrank.cli import main
 from flagrank.errors import LiftPreconditionFailed
 from util import change_frame, rand_invertible, rand_polynomial, spans_equal, \
@@ -146,13 +146,14 @@ def test_criterion_07_invariance_suite():
         for name in ("eq5", "eq6", "g1_flat", "elliptic", "hyperbolic"):
             d = get_model(name).distribution()
             fr = adapted_frame(d)
-            base_class = classify_form_generic(bracket_form(d, fr))
+            points = list(sample_points(d.chart, 0, 200))
+            base_class = classify_form_generic(bracket_form(d, fr), points)
             for _ in range(3):
                 alpha = Fraction(rng.choice([2, 3, -1, -2]))
                 beta = Fraction(rng.choice([2, 3, -1, -2]))
                 fr2 = transformed_frame(fr, y_scale=alpha, z_scale=beta,
                                         basis=rand_invertible(rng, 2))
-                assert classify_form_generic(bracket_form(d, fr2)) is base_class
+                assert classify_form_generic(bracket_form(d, fr2), points) is base_class
         for name in ("eq5", "eq6", "g1_flat"):
             d = get_model(name).distribution()
             base = branch_classify(d)
@@ -191,7 +192,7 @@ def test_criterion_09_trichotomy_coverage():
             d = get_model(name).distribution()
             _, growth = derived_flag(d)
             assert growth.ranks == (3, 5, 6)
-            assert Analysis(d).generic_class() is expected
+            assert Analysis(d).generic_class is expected
 
 
 def _run_cli_json(argv):

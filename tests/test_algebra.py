@@ -14,9 +14,9 @@ from flagrank.algebra import _brown_gcd, _certificate_residue, _coprime_mod_p, \
 from flagrank.errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
     PreconditionError, UnknownVariable
 from util import _prs_entry, digits_value, grlex, prs_gcd, ref_add, ref_derivative, \
-    ref_div, ref_mul, ref_neg, ref_sub, sc, sparse_ratfuncs, tuple_add, tuple_derivative, \
-    tuple_divexact, tuple_eval_var, tuple_leading, tuple_mul, tuple_render, \
-    tuple_total_degree, tuple_univ_coeffs, unpacked
+    ref_div, ref_mul, ref_neg, ref_sub, run_with_memory_limit, sc, sparse_ratfuncs, \
+    tuple_add, tuple_derivative, tuple_divexact, tuple_eval_var, tuple_leading, \
+    tuple_mul, tuple_render, tuple_total_degree, tuple_univ_coeffs, unpacked
 
 CH = Chart("A", ("x", "y", "z"))
 CH6 = Chart("B", ("u1", "u2", "u3", "x", "y", "z"))
@@ -402,6 +402,29 @@ def test_huge_exponents_cost_their_bit_length():
     assert poly_gcd(big + x * y, x + z).is_one()
     assert poly_gcd(big + x * y, big + z).is_one()
     assert poly_gcd(big * (y + z), (y + z) * (y - z)) == y + z
+
+
+def test_huge_degree_gcds_stay_within_memory():
+    # Both gcds share x at degree near 2^31, which the certificate leaves
+    # undecided and the heuristic gives up on; Brown's dense lists would run
+    # out to that degree.  Divides-first tries x + z, the operand of lower
+    # total degree, and a gcd that still reaches Brown raises DegreeOverflow.
+    result = run_with_memory_limit(
+        "from flagrank import Chart, Polynomial, poly_gcd\n"
+        "from flagrank.errors import DegreeOverflow\n"
+        "chart = Chart('C', ('x', 'y', 'z'))\n"
+        "x, y, z = (Polynomial.variable(chart, v) for v in 'xyz')\n"
+        "one, two = Polynomial.one(chart), Polynomial.constant(chart, 2)\n"
+        "big = x ** (2 ** 31 - 3)\n"
+        "assert poly_gcd(big * x * (x + z), x + z) == x + z\n"
+        "assert poly_gcd(x + z, big * x * (x + z)) == x + z\n"
+        "try:\n"
+        "    poly_gcd(big * (x + z) * (y + one), (x + z) * (y + two))\n"
+        "except DegreeOverflow as exc:\n"
+        "    print(exc)\n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("a gcd of degree 2147483646 in one variable "
+                             "exceeds the dense bound 1024\n")
 
 
 def test_divisor_with_fewer_terms_is_the_gcd():

@@ -5,22 +5,15 @@ import random
 import pytest
 
 from flagrank import Analysis, Chart, Distribution, Echelon, PointClass, \
-    adapted_frame, bracket_form, classify_form_generic, coordinate_field, \
-    get_model, lie_bracket, load_model, regularity_scan
+    adapted_frame, bracket_form, classification, classify_form_generic, \
+    coordinate_field, get_model, lie_bracket, load_model, regularity_scan, \
+    sample_points
 from flagrank.errors import NotGrowth356, PoleAtPoint, SampleBudgetExhausted
-from util import rand_invertible, change_frame, sc, transformed_frame, vf
+from util import SINGULAR_SRC, rand_invertible, change_frame, sc, \
+    transformed_frame, vf
 
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
 PDE = Chart("PDE", ("u1", "u2", "u3", "x", "y", "z"))
-
-SINGULAR_SRC = """
-chart FR(x1, x2, y, y1, y2, z)
-field X1 = @x1
-field X2 = @x2
-field Y = @y + x1*@y1 + x2*@y2 + ((x1^2 + y*x2^2)/2)*@z
-dist D = span(X1, X2, Y)
-"""
-
 
 def singular_model():
     return load_model(SINGULAR_SRC).primary_dist()[1]
@@ -91,14 +84,14 @@ def test_elliptic_demo_form_is_definite():
     form = bracket_form(d, adapted_frame(d))
     assert form.a11 == -1 and form.a22 == -1
     assert form.a12.is_zero()
-    assert Analysis(d).generic_class() is PointClass.ELLIPTIC
+    assert Analysis(d).generic_class is PointClass.ELLIPTIC
 
 
 def test_hyperbolic_demo_form_is_indefinite():
     d = get_model("hyperbolic").distribution()
     form = bracket_form(d, adapted_frame(d))
     assert form.det().constant_value() < 0
-    assert Analysis(d).generic_class() is PointClass.HYPERBOLIC
+    assert Analysis(d).generic_class is PointClass.HYPERBOLIC
 
 
 def test_classify_at_points():
@@ -123,23 +116,24 @@ def test_class_invariant_under_frame_transformations():
     for name in ("eq5", "eq6", "g1_flat", "elliptic", "hyperbolic", "j21"):
         d = get_model(name).distribution()
         fr = adapted_frame(d)
-        base = classify_form_generic(bracket_form(d, fr))
+        points = list(sample_points(d.chart, 0, 200))
+        base = classify_form_generic(bracket_form(d, fr), points)
         for _ in range(4):
             alpha = rng.choice([1, 2, -1, 3, -2])
             beta = rng.choice([1, 2, -1, 3, -2])
             basis = rand_invertible(rng, 2)
             fr2 = transformed_frame(fr, y_scale=alpha, z_scale=beta, basis=basis)
-            assert classify_form_generic(bracket_form(d, fr2)) is base
+            assert classify_form_generic(bracket_form(d, fr2), points) is base
 
 
 def test_class_invariant_under_distribution_frame_change():
     rng = random.Random(33)
     for name in ("eq5", "hyperbolic"):
         d = get_model(name).distribution()
-        base = Analysis(d).generic_class()
+        base = Analysis(d).generic_class
         for _ in range(3):
             changed = change_frame(d, rand_invertible(rng, 3))
-            assert Analysis(changed).generic_class() is base
+            assert Analysis(changed).generic_class is base
 
 
 def test_scan_jet_model_regular():
@@ -167,10 +161,11 @@ def test_scan_detects_signature_drift():
     assert PointClass.ELLIPTIC in seen and PointClass.HYPERBOLIC in seen
 
 
-def test_scan_budget_exhaustion():
+def test_scan_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(classification, "_RETRY_FACTOR", 0)
     d = get_model("j21").distribution()
     with pytest.raises(SampleBudgetExhausted):
-        regularity_scan(d, n_samples=20, seed=0, retry_factor=0)
+        regularity_scan(d, n_samples=20, seed=0)
 
 
 def test_classify_at_frame_degeneration_reports_pole():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagrank import cli
 from flagrank.cli import main
-from util import digits_value
+from util import digits_value, run_with_memory_limit
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -411,6 +411,34 @@ def test_degree_overflow_during_analysis_exits_3(tmp_path):
     assert set(report) == {"schema", "error"}
     assert report["error"]["type"] == "DegreeOverflow"
     assert "2^31" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("coefficient, code, error", [
+    # divides-first cancels x + z
+    ("x^2147483646*(x + z)/(x + z)", 0, None),
+    # the cross gcd reaches Brown's dense gcd in x, past its degree bound
+    ("x^2147483645*(x + z)*(y + 1)/((x + z)*(y + 2))", 3, "DegreeOverflow"),
+])
+def test_huge_degree_gcd_models_exit_within_memory(tmp_path, coefficient, code, error):
+    path = tmp_path / "huge.dist"
+    path.write_text(
+        "chart M(x, y, z, u, v, w)\n"
+        f"field X = @x + ({coefficient})*@y\n"
+        "field Y = @z + x*y*@u\n"
+        "field Z = @w\n"
+        "dist D = span(X, Y, Z)\n",
+        encoding="utf-8")
+    result = run_with_memory_limit(
+        "import sys\n"
+        "from flagrank.cli import main\n"
+        f"sys.exit(main(['analyze', {str(path)!r}, '--tasks', 'growth', "
+        "'--format', 'json']))\n")
+    assert result.returncode == code, result.stdout + result.stderr
+    report = json.loads(result.stdout)
+    if error is None:
+        assert report["results"]["growth"]["generic"] == "(3,4)"
+    else:
+        assert report["error"]["type"] == error
 
 
 _COORDINATES = ("0", "1", "-2", "1/2", "-3/4", "2.5", ".5", "1e3", "1e-2", "7e999",

@@ -46,7 +46,7 @@ def test_models_have_growth_356():
 def test_demo_models_classify():
     for name, expected in (("elliptic", PointClass.ELLIPTIC),
                            ("hyperbolic", PointClass.HYPERBOLIC)):
-        assert Analysis(get_model(name).distribution()).generic_class() is expected
+        assert Analysis(get_model(name).distribution()).generic_class is expected
 
 
 def test_eq3_family_accepts_strings_and_ratfuncs():
@@ -145,7 +145,7 @@ def test_lift_of_perturbed_jet_pairs_is_nondegenerate():
         lifted = lift_pair(total_derivative(extra),
                            coordinate_field(JET5, "p3"),
                            coordinate_field(JET5, "p2"))
-        assert Analysis(lifted).generic_class() is PointClass.PARABOLIC_NONDEG
+        assert Analysis(lifted).generic_class is PointClass.PARABOLIC_NONDEG
 
 
 def test_lift_third_order_style_pair_matches_flat_g0_model():

@@ -184,7 +184,7 @@ def test_b2_integrability_split():
 
 def test_completely_nondegenerate_catalog():
     for name in ("eq5", "eq6", "g1_flat"):
-        assert Analysis(get_model(name).distribution()).completely_nondegenerate()
+        assert Analysis(get_model(name).distribution()).completely_nondegenerate
 
 
 def test_completely_nondegenerate_detects_growth_wall():
@@ -197,7 +197,7 @@ def test_completely_nondegenerate_detects_growth_wall():
     off_wall = growth_at(sub, PDE.point((1, 1, 1, 1, 1, 1)), steps)
     assert off_wall == growth.ranks
     assert on_wall != growth.ranks
-    assert not Analysis(d).completely_nondegenerate()
+    assert not Analysis(d).completely_nondegenerate
 
 
 def test_branch_verdicts():

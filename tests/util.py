@@ -1,10 +1,15 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import flagrank
 from flagrank import AdaptedFrame, Distribution, FlagBranch, Polynomial, RatFunc, \
     VectorField, bracket_span, coordinate_field, lie_bracket, parse_scalar
 from flagrank import linalg
@@ -195,6 +200,18 @@ def det(matrix):
         sign = -1 if j % 2 else 1
         total += sign * matrix[0][j] * det(minor)
     return total
+
+
+# Y's @z coefficient (x1^2 + y*x2^2)/2 gives the form [[-1, 0], [0, -y]] up to
+# scale: elliptic where y > 0, hyperbolic where y < 0, so the generic class
+# depends on the sample points
+SINGULAR_SRC = """
+chart FR(x1, x2, y, y1, y2, z)
+field X1 = @x1
+field X2 = @x2
+field Y = @y + x1*@y1 + x2*@y2 + ((x1^2 + y*x2^2)/2)*@z
+dist D = span(X1, X2, Y)
+"""
 
 
 FAMILY_VARIABLES = {"eq3": ("x", "u1", "u2", "z"),
@@ -504,3 +521,23 @@ def tuple_render(variables, terms):
         else:
             text += f" {'-' if c < 0 else '+'} {body}"
     return text
+
+
+# 2 GB of address space for a child that may try a runaway allocation
+MEMORY_LIMIT = 2 << 30
+
+
+def run_with_memory_limit(code):
+    """Run Python ``code`` in a child whose address space is capped at
+    ``MEMORY_LIMIT``, with this suite's flagrank importable.
+
+    An input that would allocate without bound fails there with MemoryError,
+    instead of using up the memory of the machine that runs the suite.
+    """
+    src = str(Path(flagrank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    prologue = ("import resource\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT}, {MEMORY_LIMIT}))\n")
+    return subprocess.run([sys.executable, "-c", prologue + code],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
