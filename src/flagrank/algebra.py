@@ -707,10 +707,12 @@ def _image_mod(poly, i, point):
 
 # --- Brown's dense modular gcd (W. S. Brown, JACM 18, 1971) ---
 
-# Brown's lists run out to each variable's degree; past this one a gcd raises
-# DegreeOverflow.  At the bound, gcd(h*(x + y + z + 1), h*(x - y + 2)) with
-# h = x^1023 + y^1023 + z takes 4.9 s and under 1 MB (CPython 3.11, Xeon VM).
-_DENSE_DEGREE = 1 << 10
+# Brown's lists run out to each variable's degree, about 110 bytes a degree,
+# so past this bound a gcd raises DegreeOverflow.  At it, gcd((x^(2^20) + x + 3)
+# *(x^2 + 1), (x^60 + x + 1)*(x^2 + 1)) takes 12.6 s and 130 MB; 2 GB comes near
+# 2^24 (CPython 3.11, Xeon VM).  Time is not capped: with h = x^2048 + y^2048 + z,
+# gcd(h*(x + y + z + 1), h*(x - y + 2)) takes 23 s and 18 MB.
+_DENSE_DEGREE = 1 << 20
 
 def _brown_gcd(f, g):
     """gcd of nonzero f and g by Brown's dense modular algorithm.
@@ -1008,9 +1010,7 @@ class RatFunc:
             num, den = zero.num, zero.den
         else:
             g = poly_gcd(num, den)
-            if not g.is_one():
-                num = num.divexact(g)
-                den = den.divexact(g)
+            num, den = num.divexact(g), den.divexact(g)
             if den.leading()[1] < 0:
                 num = -num
                 den = -den
@@ -1099,8 +1099,6 @@ class RatFunc:
             if a.is_one() or not t.terms:
                 return RatFunc._reduced(t, a)
             e = poly_gcd(t, a)
-            if e.is_one():
-                return RatFunc._reduced(t, a)
             return RatFunc._reduced(t.divexact(e), a.divexact(e))
         one = self.chart.one()
         return sum_of_products(self.chart, [(self, one, 1), (other, one, 1)])
@@ -1219,18 +1217,13 @@ class RatFunc:
         if not den._deg_in(i):
             return RatFunc(dn, den)
         a = _gcd_fold(den._univ_coeffs(i).values())
-        b = den if a.is_one() else den.divexact(a)
+        b = den.divexact(a)
         db = b.derivative(var)
         g = poly_gcd(b, db)
-        bt, bp = (b, db) if g.is_one() else (b.divexact(g), db.divexact(g))
+        bt, bp = b.divexact(g), db.divexact(g)
         top = dn * bt - num * bp
-        bottom = g * bt * bt
-        if not a.is_one():
-            e = poly_gcd(top, a)
-            if not e.is_one():
-                top, a = top.divexact(e), a.divexact(e)
-            bottom = a * bottom
-        return RatFunc._reduced(top, bottom)
+        e = a if a.is_one() else poly_gcd(top, a)
+        return RatFunc._reduced(top.divexact(e), a.divexact(e) * g * bt * bt)
 
     def derivative(self, var):
         i = self.chart.index(var)
@@ -1291,6 +1284,8 @@ def sum_of_products(chart, triples):
     by value.  D is the lcm of these denominators, built from gcds among
     them alone, each group's numerator is lifted by its cofactor
     D / (q_a * q_b), and one gcd of the total against D reduces the sum.
+    It is skipped when each product has a factor of one and is alone over
+    its denominator, and these are pairwise coprime: then the sum is reduced.
 
     The degree bound 2^31 applies to each product after ``RatFunc``'s
     cross-cancellation, as in ``a * b``, and to D and the numerators lifted
@@ -1306,6 +1301,7 @@ def sum_of_products(chart, triples):
         return product if s > 0 else -product
     plain = {}  # the products over denominators of one
     groups = {}  # product denominator -> the terms of its numerators' sum
+    reduced = True  # the sum needs no gcd
     for a, b, s in live:
         an, bn = a.num.terms, b.num.terms
         qa, qb = a.den, b.den
@@ -1313,6 +1309,7 @@ def sum_of_products(chart, triples):
             out = plain
         else:
             out = groups.setdefault(qa * qb, {})
+            reduced = reduced and not out and (a.is_one() or b.is_one())
         if len(bn) < len(an):
             an, bn = bn, an
         for k1, c1 in an.items():
@@ -1335,7 +1332,8 @@ def sum_of_products(chart, triples):
     den = next(denominators)
     for q in denominators:
         g = poly_gcd(den, q)
-        den = den * (q if g.is_one() else q.divexact(g))
+        reduced = reduced and g.is_one()
+        den = den * q.divexact(g)
     total = dict((Polynomial._packed(chart, plain) * den).terms) if plain else {}
     for q, terms in groups.items():
         terms = {k: c for k, c in terms.items() if c}
@@ -1346,10 +1344,10 @@ def sum_of_products(chart, triples):
     num = Polynomial._packed(chart, {k: c for k, c in total.items() if c})
     if not num.terms:
         return chart.zero()
-    g = poly_gcd(num, den)
-    if g.is_one():
-        return RatFunc._reduced(num, den)
-    return RatFunc._reduced(num.divexact(g), den.divexact(g))
+    if not reduced:
+        g = poly_gcd(num, den)
+        num, den = num.divexact(g), den.divexact(g)
+    return RatFunc._reduced(num, den)
 
 
 class PointQ:

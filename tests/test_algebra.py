@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagrank import Chart, Polynomial, RatFunc, catalog_list, cli, load_model
+from flagrank import Chart, Polynomial, RatFunc, algebra, catalog_list, cli, load_model
 from flagrank.algebra import _brown_gcd, _certificate_residue, _coprime_mod_p, \
     _heuristic_gcd, decimal_to_int, int_to_decimal, poly_gcd
 from flagrank.errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
@@ -424,7 +424,40 @@ def test_huge_degree_gcds_stay_within_memory():
         "    print(exc)\n")
     assert result.returncode == 0, result.stderr
     assert result.stdout == ("a gcd of degree 2147483646 in one variable "
-                             "exceeds the dense bound 1024\n")
+                             f"exceeds the dense bound {algebra._DENSE_DEGREE}\n")
+
+
+def test_brown_gcd_completes_at_degree_2500(monkeypatch):
+    # the certificate leaves x undecided (2502 * 62 > 2^16) and the heuristic
+    # gives up at this degree, so only Brown's dense gcd decides it
+    x = Polynomial.variable(CH, "x")
+    one = Polynomial.one(CH)
+    calls = []
+
+    def recorded(f, g):
+        calls.append((f, g))
+        return _brown_gcd(f, g)
+
+    monkeypatch.setattr(algebra, "_brown_gcd", recorded)
+    three = Polynomial.constant(CH, 3)
+    f = (x ** 2500 + x + three) * (x ** 2 + one)
+    g = (x ** 60 + x + one) * (x ** 2 + one)
+    assert poly_gcd(f, g) == x ** 2 + one
+    assert len(calls) == 1
+
+
+def test_sum_over_coprime_denominators_runs_no_gcd_of_the_sum(monkeypatch):
+    # x^2440 + 1/(x^60 + 3) over x^60 + 3 is reduced as it stands; so is
+    # 1/(x^600 + 1) + 1/(x^500 + 3), whose denominators' gcd is 1
+    calls = []
+    monkeypatch.setattr(algebra, "_brown_gcd", lambda f, g: calls.append((f, g)))
+    total = sc(CH, "x^2440") + sc(CH, "1/(x^60 + 3)")
+    assert (total.num, total.den) == (sc(CH, "x^2500 + 3*x^2440 + 1").num,
+                                      sc(CH, "x^60 + 3").num)
+    total = sc(CH, "1/(x^600 + 1)") + sc(CH, "1/(x^500 + 3)")
+    assert (total.num, total.den) == (sc(CH, "x^600 + x^500 + 4").num,
+                                      sc(CH, "(x^600 + 1)*(x^500 + 3)").num)
+    assert not calls
 
 
 def test_divisor_with_fewer_terms_is_the_gcd():

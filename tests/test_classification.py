@@ -161,6 +161,12 @@ def test_scan_detects_signature_drift():
     assert PointClass.ELLIPTIC in seen and PointClass.HYPERBOLIC in seen
 
 
+@pytest.mark.parametrize("build", [classification.Classification, Analysis])
+def test_sample_count_below_one_is_refused_at_construction(build):
+    with pytest.raises(ValueError):
+        build(get_model("j21").distribution(), samples=0)
+
+
 def test_scan_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(classification, "_RETRY_FACTOR", 0)
     d = get_model("j21").distribution()

@@ -416,6 +416,8 @@ def test_degree_overflow_during_analysis_exits_3(tmp_path):
 @pytest.mark.parametrize("coefficient, code, error", [
     # divides-first cancels x + z
     ("x^2147483646*(x + z)/(x + z)", 0, None),
+    # a sum over coprime denominators needs no gcd past their own
+    ("x^2440 + 1/(x^60 + 3)", 0, None),
     # the cross gcd reaches Brown's dense gcd in x, past its degree bound
     ("x^2147483645*(x + z)*(y + 1)/((x + z)*(y + 2))", 3, "DegreeOverflow"),
 ])
