@@ -19,8 +19,7 @@ from .classification import AdaptedFrame, BracketForm, PointClass, \
     RegularityReport, adapted_frame, bracket_form, classify_form_generic, \
     regularity_scan, sample_points
 from .distribution import Distribution, GrowthVector, annihilator_frame, \
-    bracket_span, derived_flag, frobenius_integrable, growth_at, span_reduce, \
-    square_root_subdistribution
+    bracket_span, derived_flag, growth_at, span_reduce, square_root_subdistribution
 from .dsl import Model, ModelSource, load_model, parse_scalar, render_model
 from .linalg import Echelon, kernel_basis, rank_generic, solve_in_span
 from .models import ModelSpec, catalog_list, eq3_parameter_chart, eq3_source, \

@@ -1198,9 +1198,7 @@ class RatFunc:
         return partials
 
     def _partial(self, var):
-        """The quotient rule, symbolically: the one place a ``RatFunc``
-        partial is built.  ``parabolic._partials_at`` applies the same rule
-        at a point, to integer values, and builds no ``RatFunc``.
+        """The quotient rule: the one place a partial is built.
 
         No gcd runs against den^2.  A den free of v gives n_v/den, reduced
         against den.  Otherwise den = a*b, where a is den's content free of

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 
 from .algebra import PointQ
 from .calculus import VectorField, coordinate_field, lie_bracket
@@ -158,12 +157,11 @@ _SEARCH_BUDGET = 200
 _RETRY_FACTOR = 25
 
 
-def sample_points(chart, seed, budget=None):
-    """Deterministic stream of small rational sample points, at most
-    ``budget`` of them (no limit for None).  The stream of a seed does not
-    depend on the budget."""
+def sample_points(chart, seed):
+    """Endless deterministic stream of small rational sample points;
+    ``Classification.points`` is the one reader that bounds it."""
     rng = random.Random(seed)
-    for _ in (range(budget) if budget is not None else count()):
+    while True:
         coords = [Fraction(rng.randint(-_MAGNITUDE, _MAGNITUDE),
                            rng.randint(1, _MAX_DENOMINATOR))
                   for _ in range(chart.dimension)]

@@ -188,17 +188,6 @@ def growth_at(dist, point, steps=None):
     return tuple(step.point_rank.rank_at(point, step.generic_rank) for step in steps)
 
 
-def frobenius_integrable(dist):
-    """True iff every pairwise frame bracket stays in the generic span."""
-    ech = dist.echelon()
-    frame = dist.frame
-    for i in range(len(frame)):
-        for j in range(i + 1, len(frame)):
-            if not ech.contains(lie_bracket(frame[i], frame[j]).coefficients):
-                return False
-    return True
-
-
 def bracket_span(fields_a, fields_b):
     """Generators of A + B + [sections of A, sections of B].
 

@@ -4,13 +4,16 @@ For a parabolic growth-(3,5,6) distribution the package builds the canonical
 flag of ranks 1..5, checks the defining bracket relations as exact generic
 span equalities, extracts the graded nilpotent symbol algebra together with
 its normalized invariant d in {0, 1}, tests integrability of the reduced
-rank-2 pair through its upstairs preimage, and reports which of the three
-classified branches (or the open one) the input belongs to.
+rank-2 pair through the derived flag of its upstairs preimage E, and reports
+which of the three classified branches (or the open one) the input belongs
+to.  The symbol at a point reads the memoised partials of the 8 brackets
+that can carry a constant.
 
 Every stage is built in one place, ``Analysis``: one object per distribution,
-sample count and seed that builds each stage on first use and reuses it.  It lives for one request
-or one public call, never longer; ``parabolic_flag``, ``symbol_d_function``,
-``symbol_algebra_at`` and ``branch_classify`` are thin reads of a fresh one.
+sample count and seed that builds each stage on first use and reuses it.  It
+lives for one request or one public call, never longer; ``parabolic_flag``,
+``symbol_d_function``, ``symbol_algebra_at`` and ``branch_classify`` are
+thin reads of a fresh one.
 
 Each flag carries one ``BracketTable``, built on first use: a nested frame
 f1..f5 with f1..fk spanning the rank-k stratum, the brackets of its fields
@@ -30,8 +33,7 @@ from .algebra import _render_fraction
 from .calculus import lie_bracket
 from .classification import _RETRY_FACTOR, _SEARCH_BUDGET, Classification, \
     PointClass, _complete_with_field, _residual_coordinate
-from .distribution import Distribution, combine, derived_flag, \
-    frobenius_integrable, growth_at, span_reduce
+from .distribution import Distribution, combine, derived_flag, growth_at, span_reduce
 from .errors import ConsistencyError, NotGrowth356, NotParabolic, \
     NotParabolicNonDeg, PoleAtPoint, RankUnexpected, SampleBudgetExhausted, \
     SingularDistribution
@@ -217,9 +219,13 @@ class SymbolClass(Enum):
 
 _LABELS = (1, 2, 3, 4, 5, 7)
 _WEIGHTS = {1: -1, 2: -2, 3: -3, 4: -4, 5: -5, 7: -7}
-# index pairs (a, b), a < b, of the symbol frame's 15 brackets
+# index pairs (a, b), a < b, of the symbol frame's brackets whose graded slot
+# w_a + w_b is at least the lowest basis weight: 8 of the 15.  The other 7
+# (every pair with F7, [F3,F5] and [F4,F5]) have a slot below every basis
+# weight, so they carry neither a constant nor a grading violation.
 _PAIRS = tuple((a, b) for a in range(len(_LABELS))
-               for b in range(a + 1, len(_LABELS)))
+               for b in range(a + 1, len(_LABELS))
+               if _WEIGHTS[_LABELS[a]] + _WEIGHTS[_LABELS[b]] >= min(_WEIGHTS.values()))
 
 
 @dataclass(frozen=True)
@@ -286,30 +292,6 @@ class SymbolAlgebra:
         }
 
 
-def _partials_at(point, coeff, partials):
-    """{j: ∂_j(n/d)(point)} of a coefficient n/d with d(point) != 0.
-
-    ``partials`` lists (j, ∂_j n, ∂_j d).  Each polynomial evaluates to an
-    integer over a power of the point's common denominator B, and
-    ∂_j(n/d) = (∂_j n * d - n * ∂_j d) / d^2 builds one Fraction.
-    """
-    n, n_deg = point.homogenized(coeff.num)
-    d, d_deg = point.homogenized(coeff.den)
-    out = {}
-    for j, n_j, d_j in partials:
-        nj, nj_deg = point.homogenized(n_j)
-        dj, dj_deg = point.homogenized(d_j)
-        # both products over the common scale B^top_deg
-        left, right = nj_deg + d_deg, n_deg + dj_deg
-        top_deg = max(left, right)
-        top = nj * d * point.scale_power(top_deg - left) \
-            - n * dj * point.scale_power(top_deg - right)
-        if top:
-            out[j] = Fraction(top * point.scale_power(2 * d_deg),
-                              d * d * point.scale_power(top_deg))
-    return out
-
-
 def symbol_d_function(dist):
     """The d-invariant as a rational function (zero iff the symbol is g0)."""
     return Analysis(dist).d_function
@@ -319,12 +301,12 @@ def symbol_algebra_at(dist, point):
     """Structure constants of the nilpotentization at a point, with d normalized.
 
     Requires the non-degenerate parabolic class at the point and a symbol
-    frame of rank 6 there.  The 15 brackets of the frame are evaluated at the
-    point from its exact first jets and solved in one elimination over ℚ; no
-    bracket is computed symbolically.  Components of each bracket that sit
-    exactly in the graded slot of the pair are the reported constants;
-    components landing strictly deeper are recorded as grading violations
-    (none occur for inputs in the class).
+    frame of rank 6 there.  The frame's 8 brackets of ``_PAIRS`` are
+    evaluated at the point and solved in one elimination over ℚ; no bracket
+    is computed symbolically.  Components of each bracket that sit exactly
+    in the graded slot of the pair are the reported constants; components
+    landing strictly deeper are recorded as grading violations (none occur
+    for inputs in the class).  The other 7 brackets have neither.
     """
     return Analysis(dist).symbol_at(point)
 
@@ -423,12 +405,13 @@ class Analysis(Classification):
     """Every pipeline stage of one distribution, each built at most once.
 
     Like ``Classification``, built for one sample count and seed.  Adds the
-    flag, its relations, the symbol frame with the first partials of its
-    coefficients (the symbol at a point is built from their values there),
+    flag, its relations, the symbol frame (the symbol at a point is built
+    from the values there of its coefficients and their memoised partials),
     the d-function (the one bracket of the frame solved over the function
-    field), the E-subdistribution, the completely-non-degenerate test and
-    the branch report.  The flag line's transverse in the rank-2 stratum is
-    chosen once, for the symbol frame and E.
+    field), the E-subdistribution and its derived flag (E's integrability
+    and the completely-non-degenerate test) and the branch report.  The
+    flag line's transverse in the rank-2 stratum is chosen once, for the
+    symbol frame and E.
     """
 
     @cached_property
@@ -510,47 +493,29 @@ class Analysis(Classification):
         return self._symbol_basis[0]
 
     @cached_property
-    def symbol_partials(self):
-        """First partials of the symbol frame's coefficients, as polynomials.
-
-        Entry [a][i] belongs to coefficient i of F_a, a reduced n/d: None when
-        it is constant, else a list of (j, ∂_j n, ∂_j d) over the coordinates
-        j that n or d contains.
-        """
-        variables = self.dist.chart.variables
-        partials = []
-        for f in self.symbol_fields:
-            row = []
-            for c in f.coefficients:
-                if c.is_constant():
-                    row.append(None)
-                    continue
-                used = c.variables_used()
-                row.append([(j, c.num.derivative(v), c.den.derivative(v))
-                            for j, v in enumerate(variables) if v in used])
-            partials.append(row)
-        return partials
-
-    @cached_property
     def d_function(self):
         """The e7-coordinate of [F3, F4]: the d-invariant before normalization.
 
         This is the symbol stage's one symbolic bracket, read off its residual
-        against F1..F5; ``symbol_at`` works from first jets at its point.
+        against F1..F5.  With the brackets that built F4, F5 and F7 it
+        memoises the first partials of F1..F5, which ``symbol_at`` evaluates
+        at its point.
         """
         fields, ech, residual = self._symbol_basis
         return _residual_coordinate(ech, residual, lie_bracket(fields[2], fields[3]),
                                    "[e3,e4] left the symbol frame span")
 
     def bracket_coordinates_at(self, point):
-        """Coordinates of the 15 brackets [F_a, F_b], a < b, in the symbol frame.
+        """Coordinates in the symbol frame of the brackets [F_a, F_b] of ``_PAIRS``.
 
-        They come from the frame's exact first jets at the point:
-        [F_a, F_b]^i = sum_j F_a^j ∂_j F_b^i - F_b^j ∂_j F_a^i, and one
-        elimination over ℚ of the frame's values solves all 15 brackets.
-        Raises PoleAtPoint where a frame coefficient has a pole or the frame
-        has rank below 6; elsewhere every reduced symbolic coordinate is
-        regular at the point and has exactly these values.
+        [F_a, F_b]^i = sum_j F_a^j ∂_j F_b^i - F_b^j ∂_j F_a^i at the point,
+        from the values of the frame and of its memoised ``RatFunc.partials()``
+        (the brackets that built F4, F5, F7 and the d-function made those of
+        F1..F5; no pair has F7), then one elimination over ℚ of the frame's
+        values.  Raises PoleAtPoint where a frame coefficient has a pole (a
+        reduced partial's denominator divides den^2) or the frame has rank
+        below 6; elsewhere every reduced symbolic coordinate is regular at
+        the point and has exactly these values.
         """
         fields = self.symbol_fields
         # every coefficient is evaluated before any bracket, so a pole raises here
@@ -559,9 +524,8 @@ class Analysis(Classification):
             raise PoleAtPoint(
                 f"symbol frame degenerates at {point.render()}; choose another point")
         values = [[Fraction(n, d) for n, d in row] for row in pairs]
-        jets = [[{} if parts is None else _partials_at(point, c, parts)
-                 for c, parts in zip(f.coefficients, row)]
-                for f, row in zip(fields, self.symbol_partials)]
+        jets = [[{j: dj.evaluate(point) for j, dj in c.partials().items()}
+                 for c in f.coefficients] for f in fields[:-1]]  # F7 is in no pair
         brackets = []
         for a, b in _PAIRS:
             bracket = []
@@ -622,9 +586,16 @@ class Analysis(Classification):
         return e_subdistribution(self.dist, self.flag, self.transverse)
 
     @cached_property
+    def e_flag(self):
+        """``(steps, growth)`` of E's derived flag.  E has generic rank 3 and
+        ``derived_flag`` stops when the rank does not grow, so E is
+        integrable exactly when the growth is (3,)."""
+        return derived_flag(self.e_sub)
+
+    @cached_property
     def completely_nondegenerate(self):
         sub = self.e_sub
-        steps, growth = derived_flag(sub)
+        steps, growth = self.e_flag
         points = self.points(self.samples * _RETRY_FACTOR)
         good = 0
         while good < self.samples:
@@ -676,7 +647,7 @@ class Analysis(Classification):
         d_func = self.d_function
         sym_class = SymbolClass.G0 if d_func.is_zero() else SymbolClass.G1
         algebra, _ = self._find_symbol_sample()
-        b2 = frobenius_integrable(self.e_sub)
+        b2 = self.e_flag[1].ranks == (3,)
         cnd = self.completely_nondegenerate
         depth4_closed = flag.brackets.contained(4, 4, 5)
         if depth4_closed != (sym_class is SymbolClass.G0):

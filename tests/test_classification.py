@@ -1,6 +1,7 @@
 """Adapted frames, the symmetric bracket form, and the point trichotomy."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -116,7 +117,7 @@ def test_class_invariant_under_frame_transformations():
     for name in ("eq5", "eq6", "g1_flat", "elliptic", "hyperbolic", "j21"):
         d = get_model(name).distribution()
         fr = adapted_frame(d)
-        points = list(sample_points(d.chart, 0, 200))
+        points = list(islice(sample_points(d.chart, 0), 200))
         base = classify_form_generic(bracket_form(d, fr), points)
         for _ in range(4):
             alpha = rng.choice([1, 2, -1, 3, -2])

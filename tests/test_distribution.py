@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagrank import Chart, Distribution, OneForm, PointQ, annihilator_frame, \
-    coordinate_field, derived_flag, frobenius_integrable, get_model, growth_at, \
-    lie_bracket, rank_generic, span_reduce, square_root_subdistribution
+    coordinate_field, derived_flag, get_model, growth_at, lie_bracket, \
+    rank_generic, span_reduce, square_root_subdistribution
 from flagrank.classification import Classification
 from flagrank.errors import DependentForms, NotRank35, PoleAtPoint
 from flagrank.models import catalog_list, model_eq3, model_eq4
@@ -207,18 +207,18 @@ def test_growth_invariant_under_function_field_frame_change():
 
 def test_frobenius_integrable_plane():
     d = Distribution(CH, (coordinate_field(CH, "x"), coordinate_field(CH, "y")))
-    assert frobenius_integrable(d)
+    assert derived_flag(d)[1].ranks == (2,)
 
 
 def test_frobenius_non_integrable():
     d = Distribution(CH, (coordinate_field(CH, "x"),
                           vf(CH, 0, 1, "x")))
-    assert not frobenius_integrable(d)
+    assert derived_flag(d)[1].ranks == (2, 3)
 
 
 def test_frobenius_square_root_of_pde_model():
     d = get_model("eq5").distribution()
-    assert frobenius_integrable(square_root_subdistribution(d))
+    assert derived_flag(square_root_subdistribution(d))[1].ranks == (2,)
 
 
 def test_square_root_jet_model():
