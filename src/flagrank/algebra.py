@@ -730,7 +730,7 @@ def _brown_gcd(f, g):
     cg, g = _strip_content(g)
     content = Polynomial.constant(chart, _igcd(cf, cg))
     indices = sorted(f._used() | g._used())
-    degree = max(p._deg_in(i) for p in (f, g) for i in indices)
+    degree = max((p._deg_in(i) for p in (f, g) for i in indices), default=0)
     if degree > _DENSE_DEGREE:
         raise DegreeOverflow(f"a gcd of degree {degree} in one variable exceeds "
                              f"the dense bound {_DENSE_DEGREE}")

@@ -480,6 +480,14 @@ def test_brown_gcd_matches_prs(h, a, b, scale):
     assert _brown_gcd(a, b) == prs_gcd(a, b)
 
 
+def test_brown_gcd_of_constants():
+    # no variable is used, so the degree bound takes the max of nothing
+    six, four = Polynomial.constant(CH, 6), Polynomial.constant(CH, 4)
+    assert _brown_gcd(six, four) == Polynomial.constant(CH, 2) == prs_gcd(six, four)
+    one = Polynomial.one(CH)
+    assert _brown_gcd(one, one) == one == prs_gcd(one, one)
+
+
 def test_brown_gcd_on_huge_coefficients():
     x = Polynomial.variable(CH, "x")
     y = Polynomial.variable(CH, "y")
