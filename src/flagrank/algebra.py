@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import gcd as _igcd, lcm
+from math import gcd as _igcd, isqrt, lcm
 
 from .errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
     UnknownVariable
@@ -117,7 +117,7 @@ class Chart:
 
     def var(self, name):
         """The coordinate function ``name`` as a RatFunc."""
-        return RatFunc._new(Polynomial.variable(self, name), Polynomial.one(self))
+        return RatFunc._new(Polynomial.variable(self, name))
 
     def const(self, value):
         return RatFunc.constant(self, value)
@@ -125,14 +125,13 @@ class Chart:
     def zero(self):
         """The chart's shared zero function 0/1."""
         if self._zero is None:
-            self._zero = RatFunc._new(Polynomial._packed(self, {}), Polynomial.one(self))
+            self._zero = RatFunc._new(Polynomial._packed(self, {}))
         return self._zero
 
     def one(self):
         """The chart's shared constant function 1/1."""
         if self._one is None:
-            one = Polynomial._packed(self, {0: 1})
-            self._one = RatFunc._new(one, one)
+            self._one = RatFunc._new(Polynomial._packed(self, {0: 1}))
         return self._one
 
     def point(self, coords):
@@ -986,12 +985,217 @@ def _gcd_univariate(u, w, p):
     return u
 
 
-class RatFunc:
-    """Reduced fraction of integer polynomials; the package's coefficient field.
+# --- factored denominators ---
 
-    Canonical form: gcd(num, den) = 1, den has positive leading coefficient,
-    zero is 0/1.  Construction enforces this, so ``==`` is semantic equality.
-    A zero result shares the polynomials of its chart's zero.
+def _is_certified(q):
+    """True when a cheap exact certificate proves the nonconstant q
+    irreducible over the integers.  Two shapes are certified, and only for
+    a primitive q:
+
+    - q = a*v + b of degree 1 in some variable v, with a and b coprime (one
+      of them a nonzero integer, or ``poly_gcd(a, b)`` one): a factor of q
+      free of v divides a and b, and q has no second factor with v;
+    - a quadratic in one variable whose discriminant is not a square, which
+      has no rational root.
+    """
+    if q.content() != 1:
+        return False
+    used = sorted(q._used())
+    if len(used) == 1 and q._deg_in(used[0]) == 2:
+        unit = q.chart._units[used[0]]
+        a, b, c = q.terms[2 * unit], q.terms.get(unit, 0), q.terms.get(0, 0)
+        disc = b * b - 4 * a * c
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    for i in used:
+        if q._deg_in(i) == 1:
+            coefficients = q._univ_coeffs(i)
+            a, b = coefficients[1], coefficients.get(0)
+            if b is None:
+                if a.is_constant():
+                    return True
+            elif a.is_constant() or b.is_constant() or poly_gcd(a, b).is_one():
+                return True
+    return False
+
+
+def _squarefree_bases(q):
+    """Bases (p, k, irreducible) with q = prod p^k, for a primitive,
+    nonconstant q with a positive leading coefficient: pairwise coprime,
+    squarefree and primitive p, each with a positive leading coefficient.
+
+    A certified q is its own base.  Otherwise q's content in its first
+    variable v and the rest are decomposed in turn, and Yun's algorithm
+    splits a q primitive in v by multiplicity; a squarefree q costs the one
+    gcd(q, q_v), which is one.
+    """
+    if _is_certified(q):
+        return [(q, 1, True)]
+    i = min(q._used())
+    content = _gcd_fold(q._univ_coeffs(i).values())
+    if not content.is_one():
+        return _squarefree_bases(content) + _squarefree_bases(q.divexact(content))
+    var = q.chart.variables[i]
+    d = q.derivative(var)
+    g = poly_gcd(q, d)
+    if g.is_one():
+        return [(q, 1, False)]
+    bases = []
+    c = q.divexact(g)
+    d = d.divexact(g) - c.derivative(var)
+    k = 1
+    while not c.is_one():
+        h = poly_gcd(c, d)
+        c = c.divexact(h)
+        d = d.divexact(h) - c.derivative(var)
+        if not h.is_one():
+            bases.append((h, k, _is_certified(h)))
+        k += 1
+    return bases
+
+
+def _quotient(poly, divisor):
+    """``poly / divisor`` when it is a polynomial, else None."""
+    try:
+        return poly.divexact(divisor)
+    except ValueError:
+        return None
+
+
+def _cancel(num, q, k, irreducible):
+    """Cancel what ``num`` shares with q^k, for a base q of a denominator.
+
+    Returns ``num`` over the shared factor and the bases left of q^k.  A
+    certified q is tried by trial division alone, at most k times.  Any
+    other q meets ``poly_gcd`` once per power: q is squarefree, so g =
+    gcd(num, q) holds every factor that q shares with num, q/g keeps the
+    exponent k, and g is tried again with k - 1.
+    """
+    if num.is_constant():
+        return num, [(q, k, irreducible)]
+    if irreducible:
+        j = 0
+        while j < k and (quotient := _quotient(num, q)) is not None:
+            num, j = quotient, j + 1
+        return num, [(q, k - j, True)] if j < k else []
+    g = poly_gcd(num, q)
+    if g.is_one():
+        return num, [(q, k, False)]
+    num, rest = num.divexact(g), q.divexact(g)
+    left = [] if rest.is_one() else [(rest, k, _is_certified(rest))]
+    if k > 1:
+        num, more = _cancel(num, g, k - 1, not rest.is_one() and _is_certified(g))
+        left += more
+    return num, left
+
+
+def _without_content(poly, c):
+    """``poly`` with every coefficient divided exactly by the integer c."""
+    if c == 1:
+        return poly
+    return Polynomial._packed(poly.chart, {k: v // c for k, v in poly.terms.items()})
+
+
+def _cancel_all(num, scale, entries):
+    """``(num, scale, bases)`` with ``num`` reduced against the integer
+    ``scale`` and against each base (q, k, irreducible) of ``entries``."""
+    bases = []
+    for q, k, irreducible in entries:
+        num, left = _cancel(num, q, k, irreducible)
+        bases += left
+    if scale > 1:
+        g = _igcd(num.content(), scale)
+        num, scale = _without_content(num, g), scale // g
+    return num, scale, bases
+
+
+def _base_gcd(p, p_irreducible, q, q_irreducible):
+    """gcd of two bases: one gcd when neither is certified, a trial
+    division when one is, and nothing when both are (they differ)."""
+    if p is q or p == q:
+        return p
+    one = Polynomial.one(p.chart)
+    if p_irreducible and q_irreducible:
+        return one
+    if p_irreducible:
+        return one if _quotient(q, p) is None else p
+    if q_irreducible:
+        return one if _quotient(p, q) is None else q
+    return poly_gcd(p, q)
+
+
+def _refine(lists):
+    """Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 1993)
+    of the bases of several denominators, each a sequence of
+    (q, k, irreducible).
+
+    Returns pieces ``[p, irreducible, exponents]``: pairwise coprime,
+    squarefree and primitive, where ``exponents[i]`` is the exponent in
+    list i of the base that p divides (0 for none), and each base is the
+    product of its pieces.  An equal base merges without a gcd, and gcds
+    run between bases only.  Bases are squarefree, so one gcd g of a piece
+    and a new base splits both into g and rests coprime to g and to each
+    other, and one pass over the pieces suffices.
+    """
+    pieces = []
+    for i, bases in enumerate(lists):
+        for q, k, irreducible in bases:
+            same = next((piece for piece in pieces if piece[0] is q or piece[0] == q), None)
+            if same is not None:
+                same[2][i] = k
+                continue
+            rest = q
+            for piece in list(pieces):
+                p, p_irreducible, exponents = piece
+                if exponents[i]:
+                    continue  # a base of list i, coprime to q
+                g = _base_gcd(p, p_irreducible, rest, irreducible and rest is q)
+                if g.is_one():
+                    continue
+                if g is p or g == p:
+                    exponents[i] = k
+                else:
+                    piece[0] = p.divexact(g)
+                    piece[1] = _is_certified(piece[0])
+                    split = list(exponents)
+                    split[i] = k
+                    pieces.append([g, _is_certified(g), split])
+                rest = rest.divexact(g)
+                if rest.is_one():
+                    break
+            if not rest.is_one():
+                exponents = [0] * len(lists)
+                exponents[i] = k
+                pieces.append([rest, irreducible if rest is q else _is_certified(rest),
+                               exponents])
+    return pieces
+
+
+def _make(num, scale, bases):
+    """The RatFunc of a numerator and a factored denominator that are
+    already coprime; zero is the chart's zero."""
+    if not num.terms:
+        return num.chart.zero()
+    shift = num.chart._degree_shift
+    degree = sum(k * (max(q.terms) >> shift) for q, k, _ in bases)
+    if degree >= DEGREE_BOUND:
+        raise DegreeOverflow(f"denominator of total degree {degree} reaches the bound 2^31")
+    return RatFunc._new(num, scale, tuple(bases))
+
+
+class RatFunc:
+    """Reduced fraction of integer polynomials with a factored denominator;
+    the package's coefficient field.
+
+    The denominator is ``scale * q_1^k_1 * ... * q_m^k_m``: ``scale`` is a
+    positive integer and ``bases`` a tuple of (q_i, k_i, irreducible) with
+    k_i >= 1.  The q_i are pairwise coprime, squarefree and primitive, with
+    positive leading coefficients; ``irreducible`` is True when
+    ``_is_certified`` proves q_i irreducible.  ``num`` is coprime to the
+    scale and to every base, so num/den is in lowest terms, and ``den``,
+    the expanded product, built once per object on first use, has a
+    positive leading coefficient.  Zero is 0/1 and shares the polynomials
+    of its chart's zero.  One value may have several factorisations, so
+    ``==`` and ``hash`` read ``num`` and ``den``: equality is semantic.
 
     First partials are computed at most once per object: on first use,
     ``partials()`` builds ``{coordinate index: partial}`` over the
@@ -999,42 +1203,39 @@ class RatFunc:
     Values are immutable, so it never goes stale.
     """
 
-    __slots__ = ("num", "den", "_partials")
+    __slots__ = ("num", "scale", "bases", "_den", "_partials")
 
     def __init__(self, num, den):
         _require_same_chart(num, den)
         if den.is_zero():
             raise DivisionByZero("zero denominator")
+        scale, bases = 1, []
         if num.is_zero():
-            zero = num.chart.zero()
-            num, den = zero.num, zero.den
+            num = num.chart.zero().num
         else:
-            g = poly_gcd(num, den)
-            num, den = num.divexact(g), den.divexact(g)
+            scale = den.content()
             if den.leading()[1] < 0:
-                num = -num
-                den = -den
+                num, scale = -num, -scale
+            base = _without_content(den, scale)
+            scale = abs(scale)
+            entries = [] if base.is_one() else _squarefree_bases(base)
+            num, scale, bases = _cancel_all(num, scale, entries)
         self.num = num
-        self.den = den
+        self.scale = scale
+        self.bases = tuple(bases)
+        self._den = None
         self._partials = None
 
     @classmethod
-    def _new(cls, num, den):
-        """Bare constructor for a pair already in canonical form."""
+    def _new(cls, num, scale=1, bases=()):
+        """Bare constructor for parts already in canonical form."""
         self = object.__new__(cls)
         self.num = num
-        self.den = den
+        self.scale = scale
+        self.bases = bases
+        self._den = None
         self._partials = None
         return self
-
-    @classmethod
-    def _reduced(cls, num, den):
-        """Trusted constructor for already-coprime pairs; no gcd is run."""
-        if not num.terms:
-            return num.chart.zero()
-        if den.leading()[1] < 0:
-            return cls._new(-num, -den)
-        return cls._new(num, den)
 
     @classmethod
     def constant(cls, chart, value):
@@ -1046,25 +1247,35 @@ class RatFunc:
             return chart.one()
         # a Fraction is reduced, with a positive denominator
         q = Fraction(value)
-        return cls._new(Polynomial.constant(chart, q.numerator),
-                        Polynomial.constant(chart, q.denominator))
+        return cls._new(Polynomial.constant(chart, q.numerator), q.denominator)
 
     @property
     def chart(self):
         return self.num.chart
 
+    @property
+    def den(self):
+        """The expanded denominator, built on first use."""
+        den = self._den
+        if den is None:
+            den = Polynomial.constant(self.chart, self.scale)
+            for q, k, _ in self.bases:
+                den = den * q ** k
+            self._den = den
+        return den
+
     def is_zero(self):
         return not self.num.terms
 
     def is_one(self):
-        num, den = self.num.terms, self.den.terms
-        return len(num) == 1 and len(den) == 1 and num.get(0) == 1 and den.get(0) == 1
+        num = self.num.terms
+        return self.scale == 1 and not self.bases and len(num) == 1 and num.get(0) == 1
 
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
+        return not self.bases and self.num.is_constant()
 
     def constant_value(self):
-        return Fraction(self.num.constant_value(), self.den.constant_value())
+        return Fraction(self.num.constant_value(), self.scale)
 
     def complexity(self):
         """Cheap size measure used for pivot scoring."""
@@ -1072,7 +1283,10 @@ class RatFunc:
                 len(self.num.terms) + len(self.den.terms))
 
     def variables_used(self):
-        return self.num.variables_used() | self.den.variables_used()
+        used = self.num.variables_used()
+        for q, _, _ in self.bases:
+            used |= q.variables_used()
+        return used
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -1091,15 +1305,10 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        a, b = self.den, other.den
-        if a is b or a == b:
+        if self.scale == other.scale and self.bases == other.bases:
             # over one denominator only the sum of numerators can share a
-            # factor with it, and none when it is one
-            t = self.num + other.num
-            if a.is_one() or not t.terms:
-                return RatFunc._reduced(t, a)
-            e = poly_gcd(t, a)
-            return RatFunc._reduced(t.divexact(e), a.divexact(e))
+            # factor with it
+            return _make(*_cancel_all(self.num + other.num, self.scale, self.bases))
         one = self.chart.one()
         return sum_of_products(self.chart, [(self, one, 1), (other, one, 1)])
 
@@ -1108,7 +1317,9 @@ class RatFunc:
     def __neg__(self):
         if not self.num.terms:
             return self
-        return RatFunc._new(-self.num, self.den)
+        negated = RatFunc._new(-self.num, self.scale, self.bases)
+        negated._den = self._den
+        return negated
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -1125,7 +1336,9 @@ class RatFunc:
         return other + (-self)
 
     def __mul__(self, other):
-        # cross-reduction of already-reduced fractions keeps results reduced
+        # each numerator is coprime to its own denominator, so it is reduced
+        # only against the pieces of the other denominator's bases that its
+        # own does not hold
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -1138,21 +1351,33 @@ class RatFunc:
             return other
         if other.is_one():
             return self
-        # a cross gcd against a denominator of one is one
-        g1 = other.den if other.den.is_one() else poly_gcd(self.num, other.den)
-        g2 = self.den if self.den.is_one() else poly_gcd(other.num, self.den)
-        num = self.num.divexact(g1) * other.num.divexact(g2)
-        den = self.den.divexact(g2) * other.den.divexact(g1)
-        return RatFunc._reduced(num, den)
+        n1, n2 = self.num, other.num
+        bases = []
+        for p, irreducible, (e1, e2) in _refine((self.bases, other.bases)):
+            if not e2:
+                n2, left = _cancel(n2, p, e1, irreducible)
+            elif not e1:
+                n1, left = _cancel(n1, p, e2, irreducible)
+            else:
+                left = [(p, e1 + e2, irreducible)]
+            bases += left
+        n1, s2, _ = _cancel_all(n1, other.scale, ())
+        n2, s1, _ = _cancel_all(n2, self.scale, ())
+        return _make(n1 * n2, s1 * s2, bases)
 
     __rmul__ = __mul__
 
     def reciprocal(self):
+        """den/num, with num split into its content and squarefree bases."""
         if self.is_zero():
             raise DivisionByZero("reciprocal of the zero function")
-        return RatFunc._reduced(*((self.den, self.num)
-                                  if self.num.leading()[1] > 0
-                                  else (-self.den, -self.num)))
+        num = self.num
+        scale = num.content()
+        if num.leading()[1] < 0:
+            scale = -scale
+        base = _without_content(num, scale)
+        bases = () if base.is_one() else tuple(_squarefree_bases(base))
+        return RatFunc._new(self.den if scale > 0 else -self.den, abs(scale), bases)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -1173,14 +1398,18 @@ class RatFunc:
             return RatFunc.constant(self.chart, 1)
         if n < 0:
             return self.reciprocal() ** (-n)
-        return RatFunc._reduced(self.num ** n, self.den ** n)
+        return _make(self.num ** n, self.scale ** n,
+                     [(q, k * n, irreducible) for q, k, irreducible in self.bases])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFunc.constant(self.chart, other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self.num != other.num:
+            return False
+        return (self.scale == other.scale and self.bases == other.bases) \
+            or self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -1200,28 +1429,44 @@ class RatFunc:
     def _partial(self, var):
         """The quotient rule: the one place a partial is built.
 
-        No gcd runs against den^2.  A den free of v gives n_v/den, reduced
-        against den.  Otherwise den = a*b, where a is den's content free of
-        v; with g = gcd(b, b_v), b = g*bt and b_v = g*bp, the partial is
-        (n_v*bt - n*bp) / (a*g*bt^2).  Each irreducible factor of b contains
-        v, divides bt once and divides neither bp nor n (num and den are
-        coprime), so it does not divide the top: only a can share a factor
-        with it."""
-        num, den = self.num, self.den
+        Each base q that contains v is first made primitive in v: its
+        content in v, free of v, becomes a base of its own (a certified q
+        has none).  With B the bases q_i^k_i that then contain v and P the
+        product of the q_i, d(num/den) = (n_v*P - n*sum k_i*q_i_v*P/q_i) /
+        (den*P).  An irreducible factor of q_i contains v, divides P once
+        and divides neither q_i_v (q_i is squarefree), nor n (num and den
+        are coprime), nor another base, so it does not divide the top: the
+        top is reduced against the scale and the bases free of v alone, a
+        certified one by trial division."""
+        num = self.num
         dn = num.derivative(var)
-        if den.is_one():
-            return RatFunc._reduced(dn, den)
         i = self.chart.index(var)
-        if not den._deg_in(i):
-            return RatFunc(dn, den)
-        a = _gcd_fold(den._univ_coeffs(i).values())
-        b = den.divexact(a)
-        db = b.derivative(var)
-        g = poly_gcd(b, db)
-        bt, bp = b.divexact(g), db.divexact(g)
-        top = dn * bt - num * bp
-        e = a if a.is_one() else poly_gcd(top, a)
-        return RatFunc._reduced(top.divexact(e), a.divexact(e) * g * bt * bt)
+        outer, inner = [], []
+        for q, k, irreducible in self.bases:
+            if not q._deg_in(i):
+                outer.append((q, k, irreducible))
+                continue
+            if not irreducible:
+                content = _gcd_fold(q._univ_coeffs(i).values())
+                if not content.is_one():
+                    outer.append((content, k, _is_certified(content)))
+                    q = q.divexact(content)
+                    irreducible = _is_certified(q)
+            inner.append((q, k, irreducible))
+        if not inner:
+            return _make(*_cancel_all(dn, self.scale, outer))
+        total = Polynomial.zero(self.chart)
+        product = Polynomial.one(self.chart)
+        for j, (q, k, _) in enumerate(inner):
+            term = q.derivative(var) * k
+            for m, (other, _, _) in enumerate(inner):
+                if m != j:
+                    term = term * other
+            total = total + term
+            product = product * q
+        num, scale, bases = _cancel_all(dn * product - num * total, self.scale, outer)
+        return _make(num, scale, bases + [(q, k + 1, irreducible)
+                                          for q, k, irreducible in inner])
 
     def derivative(self, var):
         i = self.chart.index(var)
@@ -1234,19 +1479,23 @@ class RatFunc:
     def integer_pair(self, point):
         """Integers (n, d), d != 0, whose quotient is the value at ``point``.
 
-        Raises PoleAtPoint when the denominator vanishes there.
+        The denominator is evaluated base by base; d is the integer that
+        evaluating the expanded ``den`` gives.  Raises PoleAtPoint when the
+        denominator vanishes there.
         """
         if point.chart != self.chart:
             raise ChartMismatch("point lives on a different chart")
         if not self.num.terms:
             return 0, 1
         n, dn = point.homogenized(self.num)
-        if self.den.is_one():
-            return n, point.scale_power(dn)
-        d, dd = point.homogenized(self.den)
-        if d == 0:
-            raise PoleAtPoint(f"denominator vanishes at {point.render()}")
         # num(point) = n / B^dn and den(point) = d / B^dd
+        d, dd = self.scale, 0
+        for q, k, _ in self.bases:
+            value, degree = point.homogenized(q)
+            if not value:
+                raise PoleAtPoint(f"denominator vanishes at {point.render()}")
+            d *= value ** k
+            dd += degree * k
         if dn > dd:
             d *= point.scale_power(dn - dd)
         elif dd > dn:
@@ -1254,12 +1503,15 @@ class RatFunc:
         return n, d
 
     def substitute(self, target, mapping):
-        num = self.num.substitute(target, mapping)
-        den = self.den.substitute(target, mapping)
-        return num / den
+        value = self.num.substitute(target, mapping)
+        if self.scale != 1:
+            value = value * Fraction(1, self.scale)
+        for q, k, _ in self.bases:
+            value = value * q.substitute(target, mapping).reciprocal() ** k
+        return value
 
     def render(self):
-        if self.den.is_one():
+        if not self.bases and self.scale == 1:
             return self.num.render()
         return f"({self.num.render()})/({self.den.render()})"
 
@@ -1277,13 +1529,16 @@ def sum_of_products(chart, triples):
 
     A sum of no nonzero product is the chart's zero and a sum of one is
     that product.  Beyond that, products run no gcd and build no
-    ``RatFunc``.  Those over denominators of one add their terms into one
-    dict; the others are grouped by their denominator q_a * q_b, equal ones
-    by value.  D is the lcm of these denominators, built from gcds among
-    them alone, each group's numerator is lifted by its cofactor
-    D / (q_a * q_b), and one gcd of the total against D reduces the sum.
-    It is skipped when each product has a factor of one and is alone over
-    its denominator, and these are pairwise coprime: then the sum is reduced.
+    ``RatFunc``.  The factors' bases are refined to one coprime set of
+    pieces (``_refine``), so each product's denominator is a scale and an
+    exponent per piece.  Products over denominators of one add their terms
+    into one dict, the others into one dict per denominator.  The common
+    denominator D takes the lcm of the scales and the largest exponent of
+    each piece; each dict is lifted by its cofactor in D, and the sum is
+    reduced against D's scale and pieces.  A piece is skipped when one
+    product alone reaches its exponent in D and each factor of that
+    product has the piece in its denominator or a constant numerator: the
+    piece then divides every other lifted term and is coprime to that one.
 
     The degree bound 2^31 applies to each product after ``RatFunc``'s
     cross-cancellation, as in ``a * b``, and to D and the numerators lifted
@@ -1297,17 +1552,21 @@ def sum_of_products(chart, triples):
         [(a, b, s)] = live
         product = a * b
         return product if s > 0 else -product
+    pieces = _refine([f.bases for a, b, _ in live for f in (a, b)])
     plain = {}  # the products over denominators of one
-    groups = {}  # product denominator -> the terms of its numerators' sum
-    reduced = True  # the sum needs no gcd
-    for a, b, s in live:
+    groups = {}  # (scale, exponent per piece) -> the terms of its numerators' sum
+    reach = [[] for _ in pieces]  # (exponent, product index) per piece
+    for index, (a, b, s) in enumerate(live):
         an, bn = a.num.terms, b.num.terms
-        qa, qb = a.den, b.den
-        if qa.is_one() and qb.is_one():
+        exponents = tuple(e[2 * index] + e[2 * index + 1] for _, _, e in pieces)
+        scale = a.scale * b.scale
+        if scale == 1 and not any(exponents):
             out = plain
         else:
-            out = groups.setdefault(qa * qb, {})
-            reduced = reduced and not out and (a.is_one() or b.is_one())
+            out = groups.setdefault((scale, exponents), {})
+            for j, e in enumerate(exponents):
+                if e:
+                    reach[j].append((e, index))
         if len(bn) < len(an):
             an, bn = bn, an
         for k1, c1 in an.items():
@@ -1325,27 +1584,43 @@ def sum_of_products(chart, triples):
         return sum_of_products(chart, [(a * b, one, s) for a, b, s in live])
     plain = {k: c for k, c in plain.items() if c}
     if not groups:
-        return RatFunc._reduced(Polynomial._packed(chart, plain), chart.one().num)
-    denominators = iter(groups)
-    den = next(denominators)
-    for q in denominators:
-        g = poly_gcd(den, q)
-        reduced = reduced and g.is_one()
-        den = den * q.divexact(g)
-    total = dict((Polynomial._packed(chart, plain) * den).terms) if plain else {}
-    for q, terms in groups.items():
+        return _make(Polynomial._packed(chart, plain), 1, ())
+    scale = lcm(*(s for s, _ in groups))
+    top = [max(e for e, _ in r) for r in reach]
+    powers = {}
+
+    def lifted(terms, s, exponents):
+        cofactor = Polynomial.constant(chart, scale // s)
+        for j, (p, _, _) in enumerate(pieces):
+            e = top[j] - exponents[j]
+            if e:
+                if (j, e) not in powers:
+                    powers[j, e] = p ** e
+                cofactor = cofactor * powers[j, e]
+        return Polynomial._packed(chart, terms) * cofactor
+
+    total = dict(lifted(plain, 1, [0] * len(pieces)).terms) if plain else {}
+    for (s, exponents), terms in groups.items():
         terms = {k: c for k, c in terms.items() if c}
         if terms:
-            lifted = Polynomial._packed(chart, terms) * den.divexact(q)
-            for k, c in lifted.terms.items():
+            for k, c in lifted(terms, s, exponents).terms.items():
                 total[k] = total.get(k, 0) + c
     num = Polynomial._packed(chart, {k: c for k, c in total.items() if c})
     if not num.terms:
         return chart.zero()
-    if not reduced:
-        g = poly_gcd(num, den)
-        num, den = num.divexact(g), den.divexact(g)
-    return RatFunc._reduced(num, den)
+    kept, entries = [], []
+    for j, (p, irreducible, exponents) in enumerate(pieces):
+        at_top = [index for e, index in reach[j] if e == top[j]]
+        if len(at_top) == 1:
+            index = at_top[0]
+            a, b, _ = live[index]
+            if (exponents[2 * index] or a.num.is_constant()) \
+                    and (exponents[2 * index + 1] or b.num.is_constant()):
+                kept.append((p, top[j], irreducible))
+                continue
+        entries.append((p, top[j], irreducible))
+    num, scale, bases = _cancel_all(num, scale, entries)
+    return _make(num, scale, kept + bases)
 
 
 class PointQ:

@@ -10,9 +10,9 @@ Generic ranks, kernels and span coordinates are all read off it.
 Ranks at points come from ``PointRank``, built once per matrix: an
 elimination over the function field with nonzero constant pivots only,
 which stays valid at every point where no input entry has a pole.  A point
-then costs a check of the input's denominators, plus a rank certified
-modulo a prime (``certified_pair_rank``) of the residual rows, if any are
-left.  A rank the prime cannot certify falls back to exact ``Fraction``
+then costs a check of the distinct bases of the input's denominators, plus a
+rank certified modulo a prime (``certified_pair_rank``) of the residual
+rows, if any are left.  A rank the prime cannot certify falls back to exact ``Fraction``
 elimination.  Coordinates at a point come from one ``Fraction`` elimination.
 """
 
@@ -93,8 +93,8 @@ class Echelon:
         # a pivot of one would rebuild every entry unchanged, and the pivot
         # over itself is one without a division
         if not pivot.is_one():
-            one = pivot.chart.one()
-            v = [e if e.is_zero() else one if e is pivot else e / pivot
+            one, inverse = pivot.chart.one(), pivot.reciprocal()
+            v = [e if e.is_zero() else one if e is pivot else e * inverse
                  for e in v]
         for i, row in enumerate(self.rows):
             c = row[col]
@@ -189,16 +189,17 @@ class PointRank:
     has a pole.  With k such pivots, the rank at such a point is k plus the
     rank there of the residual rows: the other rows on the non-pivot
     columns, zero rows dropped.  A point therefore costs a check of the
-    distinct denominators of the input, and an evaluation of the residual
-    rows only when there are any.
+    distinct bases of the input's denominators (an entry has a pole where
+    one of its bases vanishes), and an evaluation of the residual rows only
+    when there are any.
     """
 
     __slots__ = ("chart", "denominators", "pivots", "residual")
 
     def __init__(self, rows):
         self.chart = rows[0][0].chart if rows and rows[0] else None
-        self.denominators = tuple({e.den: None for row in rows for e in row
-                                   if not e.den.is_one()})
+        self.denominators = tuple({q: None for row in rows for e in row
+                                   for q, _, _ in e.bases})
         rows = [list(row) for row in rows if not all(e.is_zero() for e in row)]
         pivots = 0
         while True:
@@ -227,8 +228,8 @@ class PointRank:
         """
         if self.chart is not None and point.chart != self.chart:
             raise ChartMismatch("point lives on a different chart")
-        for den in self.denominators:
-            if not point.homogenized(den)[0]:
+        for base in self.denominators:
+            if not point.homogenized(base)[0]:
                 raise PoleAtPoint(f"denominator vanishes at {point.render()}")
         if not self.residual:
             return self.pivots

@@ -593,9 +593,8 @@ _UNIT = (0, 0, 0)
 
 
 def _over_one(poly, shared):
-    """poly/1 over the shared one or over an equal but distinct one."""
-    return RatFunc._reduced(poly, Polynomial.one(CH) if shared
-                            else Polynomial(CH, {_UNIT: 1}))
+    """poly/1, built over the shared one or over an equal but distinct one."""
+    return RatFunc(poly, Polynomial.one(CH) if shared else Polynomial(CH, {_UNIT: 1}))
 
 
 _polynomials = st.tuples(_polys(), st.booleans()).map(lambda pair: _over_one(*pair))
