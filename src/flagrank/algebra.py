@@ -992,9 +992,9 @@ def _is_certified(q):
     irreducible over the integers.  Two shapes are certified, and only for
     a primitive q:
 
-    - q = a*v + b of degree 1 in some variable v, with a and b coprime (one
-      of them a nonzero integer, or ``poly_gcd(a, b)`` one): a factor of q
-      free of v divides a and b, and q has no second factor with v;
+    - q = a*v + b of degree 1 in some variable v, where a or b is one term
+      that the other shares no factor with: a factor of q free of v would
+      divide a and b, and q has no second factor with v;
     - a quadratic in one variable whose discriminant is not a square, which
       has no rational root.
     """
@@ -1013,9 +1013,20 @@ def _is_certified(q):
             if b is None:
                 if a.is_constant():
                     return True
-            elif a.is_constant() or b.is_constant() or poly_gcd(a, b).is_one():
+            elif _monomial_coprime(a, b) or _monomial_coprime(b, a):
                 return True
     return False
+
+
+def _monomial_coprime(a, b):
+    """True when a is one term c*m that shares no factor with b; q = a*v + b
+    is primitive, so c and b's content are coprime, and b must hold a term
+    free of each variable of m."""
+    if len(a.terms) != 1:
+        return False
+    [key] = a.terms
+    return all(any(not (k >> s) & _FIELD for k in b.terms)
+               for s in a.chart._shifts if (key >> s) & _FIELD)
 
 
 def _squarefree_bases(q):
@@ -1065,13 +1076,20 @@ def _cancel(num, q, k, irreducible):
     """Cancel what ``num`` shares with q^k, for a base q of a denominator.
 
     Returns ``num`` over the shared factor and the bases left of q^k.  A
-    certified q is tried by trial division alone, at most k times.  Any
-    other q meets ``poly_gcd`` once per power: q is squarefree, so g =
-    gcd(num, q) holds every factor that q shares with num, q/g keeps the
-    exponent k, and g is tried again with k - 1.
+    certified q is tried by trial division alone, at most k times.  A
+    pending q is split into squarefree bases first.  Any other q meets
+    ``poly_gcd`` once per power: q is squarefree, so g = gcd(num, q) holds
+    every factor that q shares with num, q/g keeps the exponent k, and g is
+    tried again with k - 1.
     """
     if num.is_constant():
         return num, [(q, k, irreducible)]
+    if irreducible is None:
+        left = []
+        for p, m, state in _squarefree_bases(q):
+            num, more = _cancel(num, p, k * m, state)
+            left += more
+        return num, left
     if irreducible:
         j = 0
         while j < k and (quotient := _quotient(num, q)) is not None:
@@ -1108,6 +1126,13 @@ def _cancel_all(num, scale, entries):
     return num, scale, bases
 
 
+def _settled(bases):
+    """``bases`` with each pending base replaced by its squarefree bases."""
+    return [(p, k * m, state) for q, k, irreducible in bases
+            for p, m, state in ([(q, 1, irreducible)] if irreducible is not None
+                                else _squarefree_bases(q))]
+
+
 def _base_gcd(p, p_irreducible, q, q_irreducible):
     """gcd of two bases: one gcd when neither is certified, a trial
     division when one is, and nothing when both are (they differ)."""
@@ -1128,14 +1153,22 @@ def _refine(lists):
     of the bases of several denominators, each a sequence of
     (q, k, irreducible).
 
-    Returns pieces ``[p, irreducible, exponents]``: pairwise coprime,
-    squarefree and primitive, where ``exponents[i]`` is the exponent in
-    list i of the base that p divides (0 for none), and each base is the
-    product of its pieces.  An equal base merges without a gcd, and gcds
-    run between bases only.  Bases are squarefree, so one gcd g of a piece
-    and a new base splits both into g and rests coprime to g and to each
-    other, and one pass over the pieces suffices.
+    Returns pieces ``[p, irreducible, exponents]``: pairwise coprime and
+    primitive, where ``exponents[i]`` is the exponent in list i of the base
+    that p divides (0 for none), and each base is the product of its
+    pieces.  An equal base merges without a gcd, and gcds run between bases
+    only.  A pending base that some other list's base differs from is
+    split into squarefree bases first; then one gcd g of a piece and a new
+    base splits both into g and rests coprime to g and to each other, and
+    one pass over the pieces suffices.
     """
+    if any(irreducible is None for bases in lists for _, _, irreducible in bases):
+        lists = [_settled(bases) if any(
+            irreducible is None and any(r is not q and r != q
+                                        for j, other in enumerate(lists) if j != i
+                                        for r, _, _ in other)
+            for q, _, irreducible in bases) else bases
+            for i, bases in enumerate(lists)]
     pieces = []
     for i, bases in enumerate(lists):
         for q, k, irreducible in bases:
@@ -1175,10 +1208,12 @@ def _make(num, scale, bases):
     already coprime; zero is the chart's zero."""
     if not num.terms:
         return num.chart.zero()
-    shift = num.chart._degree_shift
-    degree = sum(k * (max(q.terms) >> shift) for q, k, _ in bases)
-    if degree >= DEGREE_BOUND:
-        raise DegreeOverflow(f"denominator of total degree {degree} reaches the bound 2^31")
+    if bases:
+        shift = num.chart._degree_shift
+        degree = sum(k * (max(q.terms) >> shift) for q, k, _ in bases)
+        if degree >= DEGREE_BOUND:
+            raise DegreeOverflow(
+                f"denominator of total degree {degree} reaches the bound 2^31")
     return RatFunc._new(num, scale, tuple(bases))
 
 
@@ -1203,7 +1238,7 @@ class RatFunc:
     Values are immutable, so it never goes stale.
     """
 
-    __slots__ = ("num", "scale", "bases", "_den", "_partials")
+    __slots__ = ("num", "scale", "bases", "_den", "_partials", "_reciprocal")
 
     def __init__(self, num, den):
         _require_same_chart(num, den)
@@ -1224,7 +1259,7 @@ class RatFunc:
         self.scale = scale
         self.bases = tuple(bases)
         self._den = None
-        self._partials = None
+        self._partials = self._reciprocal = None
 
     @classmethod
     def _new(cls, num, scale=1, bases=()):
@@ -1234,7 +1269,7 @@ class RatFunc:
         self.scale = scale
         self.bases = bases
         self._den = None
-        self._partials = None
+        self._partials = self._reciprocal = None
         return self
 
     @classmethod
@@ -1307,8 +1342,11 @@ class RatFunc:
             return self
         if self.scale == other.scale and self.bases == other.bases:
             # over one denominator only the sum of numerators can share a
-            # factor with it
-            return _make(*_cancel_all(self.num + other.num, self.scale, self.bases))
+            # factor with it, and none when it is one
+            t = self.num + other.num
+            if self.scale == 1 and not self.bases:
+                return RatFunc._new(t) if t.terms else self.chart.zero()
+            return _make(*_cancel_all(t, self.scale, self.bases))
         one = self.chart.one()
         return sum_of_products(self.chart, [(self, one, 1), (other, one, 1)])
 
@@ -1352,6 +1390,8 @@ class RatFunc:
         if other.is_one():
             return self
         n1, n2 = self.num, other.num
+        if self.scale == other.scale == 1 and not (self.bases or other.bases):
+            return RatFunc._new(n1 * n2)
         bases = []
         for p, irreducible, (e1, e2) in _refine((self.bases, other.bases)):
             if not e2:
@@ -1368,7 +1408,14 @@ class RatFunc:
     __rmul__ = __mul__
 
     def reciprocal(self):
-        """den/num, with num split into its content and squarefree bases."""
+        """den/num: num's content is the scale and its primitive part one
+        base, pending unless certified; built once per object, like
+        ``partials()``."""
+        if self._reciprocal is None:
+            self._reciprocal = self._invert()
+        return self._reciprocal
+
+    def _invert(self):
         if self.is_zero():
             raise DivisionByZero("reciprocal of the zero function")
         num = self.num
@@ -1376,7 +1423,7 @@ class RatFunc:
         if num.leading()[1] < 0:
             scale = -scale
         base = _without_content(num, scale)
-        bases = () if base.is_one() else tuple(_squarefree_bases(base))
+        bases = () if base.is_one() else ((base, 1, True if _is_certified(base) else None),)
         return RatFunc._new(self.den if scale > 0 else -self.den, abs(scale), bases)
 
     def __truediv__(self, other):
@@ -1442,7 +1489,7 @@ class RatFunc:
         dn = num.derivative(var)
         i = self.chart.index(var)
         outer, inner = [], []
-        for q, k, irreducible in self.bases:
+        for q, k, irreducible in _settled(self.bases):
             if not q._deg_in(i):
                 outer.append((q, k, irreducible))
                 continue
@@ -1552,7 +1599,8 @@ def sum_of_products(chart, triples):
         [(a, b, s)] = live
         product = a * b
         return product if s > 0 else -product
-    pieces = _refine([f.bases for a, b, _ in live for f in (a, b)])
+    lists = [f.bases for a, b, _ in live for f in (a, b)]
+    pieces = _refine(lists) if any(lists) else []
     plain = {}  # the products over denominators of one
     groups = {}  # (scale, exponent per piece) -> the terms of its numerators' sum
     reach = [[] for _ in pieces]  # (exponent, product index) per piece

@@ -3,18 +3,20 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from flagrank import algebra, branch_classify, calculus, catalog_list, \
-    classification, distribution, e_subdistribution, get_model, linalg, parabolic, \
-    parabolic_flag
+    classification, distribution, e_subdistribution, get_model, linalg, model_eq3, \
+    parabolic, parabolic_flag
 from flagrank.cli import main
 from util import SINGULAR_SRC
 
 PARABOLIC_TASKS = ("growth", "classify", "scan", "flag", "symbol", "branch")
 DEMO_TASKS = ("growth", "classify", "scan")
 POINT = "(1, 1/2, -1, 2, 0, 1)"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def analyze(name, tasks):
@@ -166,6 +168,24 @@ def test_eq6_branch_runs_few_gcds(monkeypatch):
     gcds = record_calls(monkeypatch, algebra, "poly_gcd")
     parabolic.Analysis(dist).branch
     assert len(gcds) <= 9
+
+
+def test_rational_family_member_runs_few_gcds(monkeypatch):
+    # 76 gcds when every numerator met a gcd against a power of 1 + z^2; a
+    # factored denominator holds 1 + z^2 as a certified irreducible base,
+    # each reduction against it is a trial division, and pivots' reciprocals
+    # are split into squarefree bases only where a gcd needs it
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(BENCH))
+    family, shape = inputs.family_job(1, 0, 6)
+    assert family == "eq3" and shape[1] == "z"
+    model = model_eq3(inputs.family_parameter(shape))
+    gcds = record_calls(monkeypatch, algebra, "poly_gcd")
+    assert branch_classify(model, samples=20, seed=0).verdict.value == "Theorem3"
+    assert len(gcds) == 0
 
 
 def test_eq6_symbol_at_evaluates_each_monomial_once_per_point(monkeypatch):

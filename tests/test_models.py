@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from flagrank import Analysis, Chart, PointClass, Verdict, VectorField, \
+from flagrank import Analysis, Chart, PointClass, Verdict, VectorField, algebra, \
     branch_classify, catalog_list, coordinate_field, derived_flag, \
     eq3_parameter_chart, eq4_parameter_chart, get_model, lift_pair, load_model, \
     model_eq3, model_eq4, parse_scalar
@@ -93,6 +93,22 @@ def test_eq4_family_verdict_stable():
         "five-term", "five-term-dense"])
 def test_eq4_family_verdict_over_cubic_and_three_term_denominators(parameter):
     report = branch_classify(model_eq4(parameter))
+    assert report.verdict is Verdict.THEOREM2
+    assert report.symbol_class.value == "g0"
+    assert report.equation_type is True
+
+
+def test_five_term_dense_member_never_reaches_browns_gcd(monkeypatch):
+    # its denominator is linear in u1 with coefficient -2, so it is a
+    # certified irreducible base and every reduction against it is a trial
+    # division; it took 0.62 s with gcds against its powers, 0.15 s now
+    def refuse(f, g):
+        raise AssertionError("Brown's gcd ran")
+
+    monkeypatch.setattr(algebra, "_brown_gcd", refuse)
+    report = branch_classify(model_eq4(
+        "(9*w + 9*u2 - 9*u2*w - 9*u1 - 8*u1*w^2 - u1*z - 3*u1*z*w - 8*u1*z*w^2 - 9*x*u2"
+        " - 6*x^2)/(3 - 2*w^3 + 9*u2 - 2*u1 + 6*x*w)"))
     assert report.verdict is Verdict.THEOREM2
     assert report.symbol_class.value == "g0"
     assert report.equation_type is True

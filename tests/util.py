@@ -13,6 +13,7 @@ import flagrank
 from flagrank import AdaptedFrame, Distribution, FlagBranch, Polynomial, RatFunc, \
     VectorField, bracket_span, coordinate_field, lie_bracket, parse_scalar
 from flagrank import linalg
+from flagrank.algebra import _gcd_fold, poly_gcd
 from flagrank.errors import PoleAtPoint
 from flagrank.linalg import Echelon, fraction_rank, rank_generic
 
@@ -428,6 +429,81 @@ def _primitive_prs(a, b, v):
             return b.sign_normalized()
         r = _univ_content_primitive(r, v)[1]
         a, b = b, r
+
+
+
+# --- expanded-denominator arithmetic: the slow twin of RatFunc's factored
+# denominator.  A value is num/den with both expanded, reduced by poly_gcd
+# against the whole denominator, as RatFunc computed it before its
+# denominator was kept factored ---
+
+class ExpandedRatFunc:
+    """Reduced num/den over one expanded denominator with a positive
+    leading coefficient; zero is 0/1."""
+
+    def __init__(self, num, den):
+        if num.is_zero():
+            num, den = num, Polynomial.one(num.chart)
+        else:
+            g = poly_gcd(num, den)
+            num, den = num.divexact(g), den.divexact(g)
+            if den.leading()[1] < 0:
+                num, den = -num, -den
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        return ExpandedRatFunc(self.num * other.den + other.num * self.den,
+                               self.den * other.den)
+
+    def __mul__(self, other):
+        # cross-reduction of reduced fractions keeps the product reduced
+        g1, g2 = poly_gcd(self.num, other.den), poly_gcd(other.num, self.den)
+        return ExpandedRatFunc(self.num.divexact(g1) * other.num.divexact(g2),
+                               self.den.divexact(g2) * other.den.divexact(g1))
+
+    def reciprocal(self):
+        return ExpandedRatFunc(self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * other.reciprocal()
+
+    def partial(self, var):
+        """The quotient rule with no gcd against den^2: den = a*b with a
+        den's content free of var, g = gcd(b, b_v), and only a can share a
+        factor with the top (n_v*bt - n*bp)."""
+        num, den = self.num, self.den
+        i = den.chart.index(var)
+        dn = num.derivative(var)
+        if not den._deg_in(i):
+            return ExpandedRatFunc(dn, den)
+        a = _gcd_fold(den._univ_coeffs(i).values())
+        b = den.divexact(a)
+        db = b.derivative(var)
+        g = poly_gcd(b, db)
+        bt, bp = b.divexact(g), db.divexact(g)
+        top = dn * bt - num * bp
+        e = poly_gcd(top, a)
+        reduced = ExpandedRatFunc(Polynomial.zero(den.chart), Polynomial.one(den.chart))
+        reduced.num, reduced.den = top.divexact(e), a.divexact(e) * g * bt * bt
+        return reduced
+
+    def integer_pair(self, point):
+        if self.num.is_zero():
+            return 0, 1
+        n, dn = point.homogenized(self.num)
+        d, dd = point.homogenized(self.den)
+        if d == 0:
+            raise PoleAtPoint(f"denominator vanishes at {point.render()}")
+        if dn > dd:
+            d *= point.scale_power(dn - dd)
+        elif dd > dn:
+            n *= point.scale_power(dd - dn)
+        return n, d
+
+    def render(self):
+        if self.den.is_one():
+            return self.num.render()
+        return f"({self.num.render()})/({self.den.render()})"
 
 
 # --- tuple-keyed polynomial reference: terms as {exponent tuple: coefficient},
