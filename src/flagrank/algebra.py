@@ -457,7 +457,7 @@ def poly_gcd(f, g):
 
     After the common monomial and the common integer content are stripped,
     a common divisor contains only variables that both operands use; with
-    none shared the gcd is the integer content gcd.  Otherwise five exact
+    none shared the gcd is the integer content gcd.  Otherwise four exact
     steps run, cheapest first:
 
     1. Coprimality certificate.  Every variable either operand uses gets a
@@ -475,13 +475,9 @@ def poly_gcd(f, g):
     3. Divides-first.  When the operand with fewer terms (of the two with
        as many, the one of lower total degree) divides the other, it is the
        gcd: one exact division.
-    4. The integer-evaluation heuristic, whose candidates are proved by
-       exact trial division: six attempts at the top level, one at each
-       recursive level.
-    5. When the heuristic gives up, Brown's dense modular gcd
-       (``_brown_gcd``), also proved by trial division.  Its lists are
-       dense, so operands of a degree above ``_DENSE_DEGREE`` in some
-       variable raise DegreeOverflow instead.
+    4. Brown's dense modular gcd (``_brown_gcd``), proved by trial
+       division.  Its lists are dense, so operands of a degree above
+       ``_DENSE_DEGREE`` in some variable raise DegreeOverflow instead.
     """
     _require_same_chart(f, g)
     if f is g or f == g:
@@ -521,77 +517,11 @@ def _common_monomial(f, g):
     return Polynomial._packed(chart, {key: 1}) if key else None
 
 
-def _balanced_digit(value, xi):
-    r = value % xi
-    if 2 * r > xi:
-        r -= xi
-    return r
-
-
 def _strip_content(f):
     c = f.content()
     if c > 1:
         return c, Polynomial._packed(f.chart, {k: v // c for k, v in f.terms.items()})
     return 1, f
-
-
-def _heuristic_gcd(f, g, depth=0):
-    """Integer-evaluation gcd of nonzero f and g; returns None when the
-    heuristic gives up.
-
-    Both operands are made integer-primitive before the evaluation loop and
-    the content gcd is restored afterwards; the gcd of primitive polynomials
-    is primitive, so stripping the lifted candidate's content is sound.
-    """
-    if f.is_constant() or g.is_constant():
-        return Polynomial.constant(f.chart, _igcd(f.content(), g.content()))
-    chart = f.chart
-    cf, f = _strip_content(f)
-    cg, g = _strip_content(g)
-    content = Polynomial.constant(chart, _igcd(cf, cg))
-    var = next(i for i in range(chart.dimension)
-               if f._deg_in(i) > 0 or g._deg_in(i) > 0)
-    xi = 2 * min(f.max_norm(), g.max_norm()) + 29
-    # six attempts at the top level, one below it: k variables then cost at
-    # most 6 evaluation chains, not 6^k
-    for _ in range(1 if depth else 6):
-        if xi.bit_length() * max(f._deg_in(var), g._deg_in(var)) > 12000:
-            return None
-        fe = f.eval_var(var, xi)
-        ge = g.eval_var(var, xi)
-        if not (fe.is_zero() or ge.is_zero()):
-            h = _heuristic_gcd(fe, ge, depth + 1)
-            if h is not None:
-                candidate = _strip_content(_xi_adic_lift(h, var, xi))[1]
-                candidate = candidate.sign_normalized()
-                if not candidate.is_zero() and _divides(candidate, f) \
-                        and _divides(candidate, g):
-                    return candidate * content
-        xi = xi * 73794 // 27011 + 5
-    return None
-
-
-def _xi_adic_lift(value, var, xi):
-    """Rebuild a polynomial in ``var`` from its balanced xi-adic expansion."""
-    chart = value.chart
-    unit = chart._units[var]
-    total = Polynomial.zero(chart)
-    step = 0
-    while not value.is_zero():
-        shifted = {}
-        rest_terms = {}
-        for k, c in value.terms.items():
-            d = _balanced_digit(c, xi)
-            if d:
-                shifted[k + step] = d
-            r = (c - d) // xi
-            if r:
-                rest_terms[k] = r
-        if shifted:
-            total = total + Polynomial._packed(chart, shifted)
-        value = Polynomial._packed(chart, rest_terms)
-        step += unit
-    return total
 
 
 def _divides(candidate, poly):
@@ -618,8 +548,7 @@ def _coprime_content_gcd(f, g):
     small, large = sorted((f, g), key=lambda p: (len(p.terms), p.total_degree()))
     if _divides(small, large):
         return small.sign_normalized()
-    result = _heuristic_gcd(f, g)
-    return _brown_gcd(f, g) if result is None else result
+    return _brown_gcd(f, g)
 
 
 def _coefficients(poly, indices):

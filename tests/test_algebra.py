@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flagrank import Chart, Polynomial, RatFunc, algebra, catalog_list, cli, load_model
 from flagrank.algebra import _brown_gcd, _certificate_residue, _coprime_mod_p, \
-    _heuristic_gcd, decimal_to_int, int_to_decimal, poly_gcd
+    decimal_to_int, int_to_decimal, poly_gcd
 from flagrank.errors import ChartMismatch, DegreeOverflow, DivisionByZero, PoleAtPoint, \
     PreconditionError, UnknownVariable
 from util import _prs_entry, digits_value, grlex, prs_gcd, ref_add, ref_derivative, \
@@ -287,21 +287,17 @@ def _nonconstant_polys():
 @settings(max_examples=60, deadline=None)
 @given(_nonconstant_polys(), _polys().filter(lambda p: not p.is_zero()),
        _polys().filter(lambda p: not p.is_zero()))
-def test_heuristic_gcd_matches_prs(h, a, b):
+def test_gcd_of_a_common_factor_matches_prs(h, a, b):
     f, g = h * a, h * b
-    heuristic = _heuristic_gcd(f, g)
-    if heuristic is not None:
-        assert heuristic == _prs_entry(f, g)
     assert poly_gcd(f, g) == _prs_entry(f, g)
 
 
-def test_heuristic_gcd_gives_up_on_huge_coefficients():
+def test_gcd_with_huge_coefficients():
     x = Polynomial.variable(CH, "x")
     y = Polynomial.variable(CH, "y")
     one = Polynomial.one(CH)
     h = x ** 3 + Polynomial.constant(CH, 2 ** 4100 + 1)
     f, g = h * (y + one), h * (y - one)
-    assert _heuristic_gcd(f, g) is None
     assert poly_gcd(f, g) == h
 
 
@@ -406,8 +402,7 @@ def test_huge_exponents_cost_their_bit_length():
 
 def test_huge_degree_gcds_stay_within_memory():
     # Both gcds share x at degree near 2^31, which the certificate leaves
-    # undecided and the heuristic gives up on; Brown's dense lists would run
-    # out to that degree.  Divides-first tries x + z, the operand of lower
+    # undecided; Brown's dense lists would run out to that degree.  Divides-first tries x + z, the operand of lower
     # total degree, and a gcd that still reaches Brown raises DegreeOverflow.
     result = run_with_memory_limit(
         "from flagrank import Chart, Polynomial, poly_gcd\n"
@@ -428,8 +423,8 @@ def test_huge_degree_gcds_stay_within_memory():
 
 
 def test_brown_gcd_completes_at_degree_2500(monkeypatch):
-    # the certificate leaves x undecided (2502 * 62 > 2^16) and the heuristic
-    # gives up at this degree, so only Brown's dense gcd decides it
+    # the certificate leaves x undecided (2502 * 62 > 2^16), so Brown's
+    # dense gcd decides it
     x = Polynomial.variable(CH, "x")
     one = Polynomial.one(CH)
     calls = []
@@ -447,17 +442,27 @@ def test_brown_gcd_completes_at_degree_2500(monkeypatch):
 
 
 def test_sum_over_coprime_denominators_runs_no_gcd_of_the_sum(monkeypatch):
-    # x^2440 + 1/(x^60 + 3) over x^60 + 3 is reduced as it stands; so is
-    # 1/(x^600 + 1) + 1/(x^500 + 3), whose denominators' gcd is 1
+    # x^2440 + 1/(x^60 + 3) over x^60 + 3 is reduced as it stands, with no
+    # gcd; so is 1/(x^600 + 1) + 1/(x^500 + 3), whose gcds are between the
+    # denominators' bases and their derivatives only
+    gcd = algebra.poly_gcd
     calls = []
-    monkeypatch.setattr(algebra, "_brown_gcd", lambda f, g: calls.append((f, g)))
-    total = sc(CH, "x^2440") + sc(CH, "1/(x^60 + 3)")
+
+    def recorded(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    one, two = sc(CH, "x^2440"), sc(CH, "1/(x^60 + 3)")
+    monkeypatch.setattr(algebra, "poly_gcd", recorded)
+    total = one + two
     assert (total.num, total.den) == (sc(CH, "x^2500 + 3*x^2440 + 1").num,
                                       sc(CH, "x^60 + 3").num)
+    assert not calls
     total = sc(CH, "1/(x^600 + 1)") + sc(CH, "1/(x^500 + 3)")
     assert (total.num, total.den) == (sc(CH, "x^600 + x^500 + 4").num,
                                       sc(CH, "(x^600 + 1)*(x^500 + 3)").num)
-    assert not calls
+    assert calls and all(f.total_degree() <= 600 and g.total_degree() <= 600
+                         for f, g in calls)
 
 
 def test_divisor_with_fewer_terms_is_the_gcd():
