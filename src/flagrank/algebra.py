@@ -3,26 +3,39 @@
 A :class:`Chart` fixes an ordered tuple of coordinate names; the order defines
 the graded-lexicographic monomial order used everywhere (canonical printing,
 leading terms, pivot scoring).  :class:`Polynomial` is a sparse
-integer-coefficient polynomial; :class:`RatFunc` is a reduced fraction of two
-polynomials and is the coefficient field for the whole package.  All values
-are immutable and canonical: two construction orders of the same function
-yield identical stored data, so equality and zero tests are exact.
+integer-coefficient polynomial; :class:`RatFunc` is a reduced fraction whose
+denominator is kept factored, and is the coefficient field for the whole
+package.  All values are immutable, and a numerator and an expanded
+denominator are canonical: two construction orders of the same function
+yield identical ``num`` and ``den``, so equality and zero tests are exact.
 
 Most arithmetic in a bracket computation is on zeros, so zero and one are
 free: each chart holds one shared zero and one shared one, built on first
 use, and ``RatFunc`` operations return a zero operand (or the other operand)
 without building anything.  Polynomial operands skip the fraction machinery:
 a ``Polynomial`` product with the constant one returns the other operand,
-sums over denominators of one add numerators with no gcd, a sum over one
-shared denominator runs one gcd of the numerators' sum against it, and no
-gcd runs against a denominator of one (it is one).  Each short path returns
+and sums and products over denominators of one add or multiply numerators
+with no reduction at all.  Each short path returns
 the canonical value the full computation builds.  Values are shared, so no
 code may mutate ``Polynomial.terms`` in place.
+
+A denominator is a positive integer times q_1^k_1 ... q_m^k_m over
+pairwise coprime, squarefree, primitive bases q_i.  A base is marked
+irreducible when a cheap exact certificate proves it (``_is_certified``),
+and a numerator is reduced against such a base by trial division alone.
+A product adds exponents, and each numerator meets only the bases of the
+other operand's denominator.  A sum takes the larger exponent of each base,
+after different bases are refined to one coprime set by gcds between bases
+(``_refine``).  The quotient rule raises the exponent of each base that
+contains the variable and reduces the new numerator against the other
+bases only.  ``poly_gcd`` thus runs between bases and against uncertified
+bases, never against an expanded power.  A reciprocal's base stays pending
+until a gcd needs it squarefree.
 
 A sum of products s * a * b, the shape of every bracket, directional
 derivative and pairing, is one call of ``sum_of_products``: the products
 over denominators of one go into one term dict, the rest are lifted to the
-lcm of their denominators, and one gcd reduces the sum.
+lcm of their denominators, and the sum is reduced against that lcm's bases.
 
 Each monomial is one packed ``int``, and ``Polynomial.terms`` maps these
 keys to coefficients.  On a chart of dimension n every field is
@@ -40,9 +53,7 @@ Fractions are reduced by ``poly_gcd``, which is exact and has no slow cliff:
 coprime operands are certified by one image mod 2^61 - 1 per shared
 variable, operands with a variable on one side only split into coefficient
 gcds, a divisor with fewer terms is found by one division, and what is left
-goes to the integer-evaluation heuristic and then to Brown's dense modular
-gcd, each proved by trial division.  The quotient rule takes
-no gcd against den^2 (see ``RatFunc._partial``).
+goes to Brown's dense modular gcd, proved by trial division.
 """
 
 from __future__ import annotations
@@ -488,15 +499,12 @@ def poly_gcd(f, g):
         return f.sign_normalized()
     if f.is_constant() or g.is_constant():
         return Polynomial.constant(f.chart, _igcd(f.content(), g.content()))
-    chart = f.chart
     mono = _common_monomial(f, g)
     if mono is not None:
         f = f.divexact(mono)
         g = g.divexact(mono)
     content = _igcd(f.content(), g.content())
-    if content > 1:
-        f = Polynomial._packed(chart, {k: c // content for k, c in f.terms.items()})
-        g = Polynomial._packed(chart, {k: c // content for k, c in g.terms.items()})
+    f, g = _without_content(f, content), _without_content(g, content)
     result = _coprime_content_gcd(f, g)
     if mono is not None:
         result = result * mono
@@ -519,17 +527,19 @@ def _common_monomial(f, g):
 
 def _strip_content(f):
     c = f.content()
-    if c > 1:
-        return c, Polynomial._packed(f.chart, {k: v // c for k, v in f.terms.items()})
-    return 1, f
+    return c, _without_content(f, c)
+
+
+def _quotient(poly, divisor):
+    """``poly / divisor`` when it is a polynomial, else None."""
+    try:
+        return poly.divexact(divisor)
+    except ValueError:
+        return None
 
 
 def _divides(candidate, poly):
-    try:
-        poly.divexact(candidate)
-    except ValueError:
-        return False
-    return True
+    return _quotient(poly, candidate) is not None
 
 
 def _coprime_content_gcd(f, g):
@@ -993,14 +1003,6 @@ def _squarefree_bases(q):
     return bases
 
 
-def _quotient(poly, divisor):
-    """``poly / divisor`` when it is a polynomial, else None."""
-    try:
-        return poly.divexact(divisor)
-    except ValueError:
-        return None
-
-
 def _cancel(num, q, k, irreducible):
     """Cancel what ``num`` shares with q^k, for a base q of a denominator.
 
@@ -1154,10 +1156,12 @@ class RatFunc:
     positive integer and ``bases`` a tuple of (q_i, k_i, irreducible) with
     k_i >= 1.  The q_i are pairwise coprime, squarefree and primitive, with
     positive leading coefficients; ``irreducible`` is True when
-    ``_is_certified`` proves q_i irreducible.  ``num`` is coprime to the
-    scale and to every base, so num/den is in lowest terms, and ``den``,
-    the expanded product, built once per object on first use, has a
-    positive leading coefficient.  Zero is 0/1 and shares the polynomials
+    ``_is_certified`` proves q_i irreducible.  A reciprocal's uncertified
+    base is pending (``irreducible`` None): not yet known to be squarefree,
+    it is split by ``_squarefree_bases`` when a gcd needs it.  ``num`` is
+    coprime to the scale and to every base, so num/den is in lowest terms,
+    and ``den``, the expanded product, built once per object on first use,
+    has a positive leading coefficient.  Zero is 0/1 and shares the polynomials
     of its chart's zero.  One value may have several factorisations, so
     ``==`` and ``hash`` read ``num`` and ``den``: equality is semantic.
 
@@ -1167,7 +1171,7 @@ class RatFunc:
     Values are immutable, so it never goes stale.
     """
 
-    __slots__ = ("num", "scale", "bases", "_den", "_partials", "_reciprocal")
+    __slots__ = ("num", "scale", "bases", "_den", "_partials")
 
     def __init__(self, num, den):
         _require_same_chart(num, den)
@@ -1188,7 +1192,7 @@ class RatFunc:
         self.scale = scale
         self.bases = tuple(bases)
         self._den = None
-        self._partials = self._reciprocal = None
+        self._partials = None
 
     @classmethod
     def _new(cls, num, scale=1, bases=()):
@@ -1198,7 +1202,7 @@ class RatFunc:
         self.scale = scale
         self.bases = bases
         self._den = None
-        self._partials = self._reciprocal = None
+        self._partials = None
         return self
 
     @classmethod
@@ -1338,13 +1342,7 @@ class RatFunc:
 
     def reciprocal(self):
         """den/num: num's content is the scale and its primitive part one
-        base, pending unless certified; built once per object, like
-        ``partials()``."""
-        if self._reciprocal is None:
-            self._reciprocal = self._invert()
-        return self._reciprocal
-
-    def _invert(self):
+        base, pending unless certified."""
         if self.is_zero():
             raise DivisionByZero("reciprocal of the zero function")
         num = self.num
