@@ -1342,7 +1342,7 @@ class RatFunc:
 
     def reciprocal(self):
         """den/num: num's content is the scale and its primitive part one
-        base, pending unless certified."""
+        pending base."""
         if self.is_zero():
             raise DivisionByZero("reciprocal of the zero function")
         num = self.num
@@ -1350,7 +1350,7 @@ class RatFunc:
         if num.leading()[1] < 0:
             scale = -scale
         base = _without_content(num, scale)
-        bases = () if base.is_one() else ((base, 1, True if _is_certified(base) else None),)
+        bases = () if base.is_one() else ((base, 1, None),)
         return RatFunc._new(self.den if scale > 0 else -self.den, abs(scale), bases)
 
     def __truediv__(self, other):
