@@ -30,7 +30,7 @@ after different bases are refined to one coprime set by gcds between bases
 contains the variable and reduces the new numerator against the other
 bases only.  ``poly_gcd`` thus runs between bases and against uncertified
 bases, never against an expanded power.  A reciprocal's base stays pending
-until a gcd needs it squarefree.
+until a cancellation or a gcd needs it split into squarefree bases.
 
 A sum of products s * a * b, the shape of every bracket, directional
 derivative and pairing, is one call of ``sum_of_products``: the products
@@ -1156,9 +1156,10 @@ class RatFunc:
     positive integer and ``bases`` a tuple of (q_i, k_i, irreducible) with
     k_i >= 1.  The q_i are pairwise coprime, squarefree and primitive, with
     positive leading coefficients; ``irreducible`` is True when
-    ``_is_certified`` proves q_i irreducible.  A reciprocal's uncertified
-    base is pending (``irreducible`` None): not yet known to be squarefree,
-    it is split by ``_squarefree_bases`` when a gcd needs it.  ``num`` is
+    ``_is_certified`` proves q_i irreducible.  A reciprocal's base is
+    pending (``irreducible`` None): neither certified nor known to be
+    squarefree, it is split by ``_squarefree_bases`` when a cancellation or
+    a gcd needs it.  ``num`` is
     coprime to the scale and to every base, so num/den is in lowest terms,
     and ``den``, the expanded product, built once per object on first use,
     has a positive leading coefficient.  Zero is 0/1 and shares the polynomials
