@@ -342,23 +342,6 @@ class Polynomial:
                 out[k - unit] = c * a
         return Polynomial._packed(self.chart, out)
 
-    def eval_var(self, i, value):
-        """Substitute an integer for variable ``i``; stays a polynomial."""
-        s, unit = self.chart._shifts[i], self.chart._units[i]
-        out = {}
-        for k, c in self.terms.items():
-            a = (k >> s) & _FIELD
-            k2 = k - a * unit
-            v = out.get(k2, 0) + c * value ** a
-            if v:
-                out[k2] = v
-            else:
-                out.pop(k2, None)
-        return Polynomial._packed(self.chart, out)
-
-    def max_norm(self):
-        return max((abs(c) for c in self.terms.values()), default=0)
-
     def substitute(self, target, mapping):
         """Map into RatFuncs over ``target``; unmapped variables go to their namesakes."""
         images = []

@@ -552,14 +552,6 @@ def tuple_derivative(terms, i):
                         for e, c in terms.items() if e[i]})
 
 
-def tuple_eval_var(terms, i, value):
-    out = {}
-    for e, c in terms.items():
-        base = e[:i] + (0,) + e[i + 1:]
-        out[base] = out.get(base, 0) + c * value ** e[i]
-    return _drop_zeros(out)
-
-
 def tuple_univ_coeffs(terms, i):
     out = {}
     for e, c in terms.items():
