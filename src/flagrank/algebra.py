@@ -1231,6 +1231,9 @@ class RatFunc:
 
     def complexity(self):
         """Cheap size measure used for pivot scoring."""
+        if not self.bases:
+            # the denominator is the scale: degree 0, one term
+            return self.num.total_degree(), len(self.num.terms) + 1
         return (self.num.total_degree() + self.den.total_degree(),
                 len(self.num.terms) + len(self.den.terms))
 
@@ -1370,7 +1373,9 @@ class RatFunc:
             or self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # equal values without bases have equal scales, and values with
+        # bases may factor alike in several ways but expand alike
+        return hash((self.num, self.den if self.bases else self.scale))
 
     def partials(self):
         """``{coordinate index: first partial}``, one entry per coordinate
@@ -1517,7 +1522,8 @@ def sum_of_products(chart, triples):
     reach = [[] for _ in pieces]  # (exponent, product index) per piece
     for index, (a, b, s) in enumerate(live):
         an, bn = a.num.terms, b.num.terms
-        exponents = tuple(e[2 * index] + e[2 * index + 1] for _, _, e in pieces)
+        exponents = tuple(e[2 * index] + e[2 * index + 1] for _, _, e in pieces) \
+            if pieces else ()
         scale = a.scale * b.scale
         if scale == 1 and not any(exponents):
             out = plain
