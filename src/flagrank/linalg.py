@@ -93,9 +93,15 @@ class Echelon:
         # a pivot of one would rebuild every entry unchanged, and the pivot
         # over itself is one without a division
         if not pivot.is_one():
-            one, inverse = pivot.chart.one(), pivot.reciprocal()
-            v = [e if e.is_zero() else one if e is pivot else e * inverse
-                 for e in v]
+            # most rows hold the pivot alone, so the inverse is built on use
+            one, inverse = pivot.chart.one(), None
+            for j, e in enumerate(v):
+                if e is pivot:
+                    v[j] = one
+                elif not e.is_zero():
+                    if inverse is None:
+                        inverse = pivot.reciprocal()
+                    v[j] = e * inverse
         for i, row in enumerate(self.rows):
             c = row[col]
             if not c.is_zero():
