@@ -1591,27 +1591,40 @@ def sum_of_products(chart, triples):
 class PointQ:
     """A point of a chart with exact rational coordinates.
 
+    A coordinate is given as a rational (an ``int``, a ``Fraction`` or
+    anything ``Fraction`` accepts) or as an integer pair (n, d), d != 0, for
+    n/d.  The point keeps each as a reduced pair with d > 0 (``pairs``),
+    which rendering, equality and hashing read; ``coordinates`` builds their
+    ``Fraction``s on first read.
+
     For integer evaluation the point keeps its common denominator B, the
     integers A_i = B * (coordinate i), power tables [1, a, a^2, ...] of each
     A_i and of B, grown on demand, and the value A^e of each monomial key it
     has evaluated, computed on first use and kept for the point's lifetime.
     """
 
-    __slots__ = ("chart", "coordinates", "_powers", "_scale_powers", "_monomials")
+    __slots__ = ("chart", "pairs", "_coordinates", "_powers", "_scale_powers",
+                 "_monomials")
 
     def __init__(self, chart, coordinates):
-        coordinates = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                            for c in coordinates)
-        if len(coordinates) != chart.dimension:
+        pairs = tuple(_reduced_pair(c) for c in coordinates)
+        if len(pairs) != chart.dimension:
             raise ValueError(
-                f"expected {chart.dimension} coordinates, got {len(coordinates)}")
+                f"expected {chart.dimension} coordinates, got {len(pairs)}")
         self.chart = chart
-        self.coordinates = coordinates
-        scale = lcm(*(c.denominator for c in coordinates))
-        self._powers = tuple([1, c.numerator * (scale // c.denominator)]
-                             for c in coordinates)
+        self.pairs = pairs
+        self._coordinates = None
+        scale = lcm(*(d for _, d in pairs))
+        self._powers = tuple([1, n * (scale // d)] for n, d in pairs)
         self._scale_powers = [1, scale]
         self._monomials = {}
+
+    @property
+    def coordinates(self):
+        """The coordinates as ``Fraction``s, built on first read."""
+        if self._coordinates is None:
+            self._coordinates = tuple(Fraction(n, d) for n, d in self.pairs)
+        return self._coordinates
 
     def scale_power(self, k):
         """B^k for the common denominator B of the coordinates."""
@@ -1658,15 +1671,15 @@ class PointQ:
         return value
 
     def render(self):
-        return "(" + ", ".join(_render_fraction(c) for c in self.coordinates) + ")"
+        return "(" + ", ".join(_render_pair(n, d) for n, d in self.pairs) + ")"
 
     def __eq__(self, other):
         if not isinstance(other, PointQ):
             return NotImplemented
-        return self.chart == other.chart and self.coordinates == other.coordinates
+        return self.chart == other.chart and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash((self.chart, self.coordinates))
+        return hash((self.chart, self.pairs))
 
     def __repr__(self):
         return f"PointQ{self.render()}"
@@ -1679,12 +1692,31 @@ def _power(table, k):
     return table[k]
 
 
+def _reduced_pair(c):
+    """(n, d), d > 0 and coprime to n, of a rational or an integer pair."""
+    if type(c) is not tuple:
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        return c.numerator, c.denominator
+    n, d = c
+    if not d:
+        raise ZeroDivisionError(f"coordinate {n}/0")
+    g = _igcd(n, d)
+    if d < 0:
+        g = -g
+    return (n // g, d // g) if g != 1 else c
+
+
+def _render_pair(n, d):
+    """Text of the reduced fraction n/d, d > 0."""
+    if d == 1:
+        return int_to_decimal(n)
+    return f"{int_to_decimal(n)}/{int_to_decimal(d)}"
+
+
 def _render_fraction(q):
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    if q.denominator == 1:
-        return int_to_decimal(q.numerator)
-    return f"{int_to_decimal(q.numerator)}/{int_to_decimal(q.denominator)}"
+    """Text of a rational ``q``, an ``int`` or a ``Fraction``."""
+    return _render_pair(q.numerator, q.denominator)
 
 
 # CPython checks int <-> decimal text conversions only past 640 digits (the

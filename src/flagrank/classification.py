@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import PointQ
@@ -159,13 +158,19 @@ _RETRY_FACTOR = 25
 
 def sample_points(chart, seed):
     """Endless deterministic stream of small rational sample points;
-    ``Classification.points`` is the one reader that bounds it."""
-    rng = random.Random(seed)
+    ``Classification.points`` is the one reader that bounds it.
+
+    Each coordinate is n/d with n in [-_MAGNITUDE, _MAGNITUDE] and d in
+    [1, _MAX_DENOMINATOR], n drawn first.  They are drawn as ``randint``
+    draws them (``randint(a, b)`` is ``randrange(b - a + 1) + a``) and the
+    point is built from the integer pairs, so no ``Fraction`` is formed.
+    """
+    randrange = random.Random(seed).randrange
+    width = 2 * _MAGNITUDE + 1
     while True:
-        coords = [Fraction(rng.randint(-_MAGNITUDE, _MAGNITUDE),
-                           rng.randint(1, _MAX_DENOMINATOR))
-                  for _ in range(chart.dimension)]
-        yield PointQ(chart, coords)
+        yield PointQ(chart, [(randrange(width) - _MAGNITUDE,
+                              randrange(_MAX_DENOMINATOR) + 1)
+                             for _ in range(chart.dimension)])
 
 
 def classify_form_generic(form, points):

@@ -346,52 +346,59 @@ class _Reader:
         left = self.read_factor()
         while self.peek().kind in ("*", "/"):
             op = self.next()
-            right = self.read_factor()
+            # a divisor is read as its reciprocal
+            right = self.read_factor(op if op.kind == "/" else None)
             scalar_l = isinstance(left, RatFunc)
             scalar_r = isinstance(right, RatFunc)
-            if op.kind == "*":
-                if scalar_l and scalar_r:
-                    left = left * right
-                elif scalar_l:
-                    left = right.scale(left)
-                elif scalar_r:
-                    left = left.scale(right)
-                else:
-                    self.fail(TypeMismatch,
-                              "cannot multiply two non-scalar expressions", op)
+            if scalar_l and scalar_r:
+                left = left * right
+            elif scalar_l:
+                left = right.scale(left)
+            elif scalar_r:
+                left = left.scale(right)
             else:
-                if not scalar_r:
-                    self.fail(TypeMismatch, "division needs a scalar divisor", op)
-                if right.is_zero():
-                    self.fail(TypeMismatch, "division by the zero function", op)
-                left = left / right if scalar_l else left.scale(right ** (-1))
+                self.fail(TypeMismatch,
+                          "cannot multiply two non-scalar expressions", op)
         return left
 
-    def read_factor(self):
+    def read_factor(self, division=None):
         if self.peek().kind in ("+", "-"):
             sign = self.next()
-            value = self.read_factor()
+            value = self.read_factor(division)
             return -value if sign.kind == "-" else value
-        return self.read_power()
+        return self.read_power(division)
 
-    def read_power(self):
+    def read_power(self, division=None):
+        """``atom [^ k]``; after the ``/`` token ``division``, its reciprocal.
+
+        A divisor b^k is read as b^(-k), so a power of a denominator enters
+        as its base b with exponent k and is never expanded and split again.
+        """
         base = self.read_atom()
-        if self.peek().kind != "^":
-            return base
-        caret = self.next()
-        if not isinstance(base, RatFunc):
-            self.fail(TypeMismatch, "powers apply to scalar expressions only", caret)
-        negative = self.peek().kind == "-"
-        if negative:
-            self.next()
-        exp = self.expect("number", "an integer exponent")
-        value = decimal_to_int(exp.text)
-        if value >= DEGREE_BOUND:
-            self.fail(ModelSyntaxError, f"exponent {int_to_decimal(value)} is too "
-                      "large: powers stay below 2^31", exp)
-        if negative and value and base.is_zero():
-            self.fail(TypeMismatch, "division by the zero function", caret)
-        return base ** (-value if negative else value)
+        exponent = 1
+        if self.peek().kind == "^":
+            caret = self.next()
+            if not isinstance(base, RatFunc):
+                self.fail(TypeMismatch, "powers apply to scalar expressions only",
+                          caret)
+            negative = self.peek().kind == "-"
+            if negative:
+                self.next()
+            exp = self.expect("number", "an integer exponent")
+            value = decimal_to_int(exp.text)
+            if value >= DEGREE_BOUND:
+                self.fail(ModelSyntaxError, f"exponent {int_to_decimal(value)} is "
+                          "too large: powers stay below 2^31", exp)
+            if negative and value and base.is_zero():
+                self.fail(TypeMismatch, "division by the zero function", caret)
+            exponent = -value if negative else value
+        if division is not None:
+            if not isinstance(base, RatFunc):
+                self.fail(TypeMismatch, "division needs a scalar divisor", division)
+            if exponent and base.is_zero():
+                self.fail(TypeMismatch, "division by the zero function", division)
+            exponent = -exponent
+        return base if exponent == 1 else base ** exponent
 
     def read_variable(self, at, what):
         var = self.expect("ident", what).text

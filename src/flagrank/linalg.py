@@ -13,12 +13,14 @@ which stays valid at every point where no input entry has a pole.  A point
 then costs a check of the distinct bases of the input's denominators, plus a
 rank certified modulo a prime (``certified_pair_rank``) of the residual
 rows, if any are left.  A rank the prime cannot certify falls back to exact ``Fraction``
-elimination.  Coordinates at a point come from one ``Fraction`` elimination.
+elimination.  Coordinates at a point come from one fraction-free integer
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ChartMismatch, PoleAtPoint
 
@@ -160,26 +162,38 @@ def fraction_solve(columns, targets):
     """Coordinates of every target in the basis ``columns``, exactly over ℚ.
 
     ``columns`` are n independent vectors of length n, ``targets`` vectors of
-    the same length; one Gauss–Jordan elimination of [columns | targets]
-    serves them all.  Raises ValueError when the columns are not a basis.
+    the same length, and every entry is an integer pair (n, d), d != 0, for
+    n/d, as ``RatFunc.integer_pair`` gives.  Each equation is scaled to
+    integers by the lcm of its denominators, then one fraction-free
+    Gauss–Jordan elimination of [columns | targets] serves every target
+    (Bareiss 1968): a step replaces each other row r by
+    (p * r - r[col] * pivot row) / p', where p is the pivot and p' the
+    previous one, and the division is exact.  At the end every diagonal
+    entry is the same p, the determinant up to sign, and a target's column
+    holds p times its coordinates, so one ``Fraction`` is built per
+    coordinate.  Raises ValueError when the columns are not a basis.
     """
     n = len(columns)
-    m = [[Fraction(v[i]) for v in columns] + [Fraction(t[i]) for t in targets]
-         for i in range(n)]
+    m = []
+    for i in range(n):
+        row = [v[i] for v in columns] + [t[i] for t in targets]
+        scale = lcm(*(d for _, d in row))
+        m.append([a * (scale // d) if a else 0 for a, d in row])
+    previous = 1
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if m[i][col]), None)
         if pivot_row is None:
             raise ValueError("the columns are not a basis")
         m[col], m[pivot_row] = m[pivot_row], m[col]
         row = m[col]
-        piv = row[col]
-        if piv != 1:
-            row = m[col] = [a / piv if a else a for a in row]
+        pivot = row[col]
         for i in range(n):
             f = m[i][col]
-            if i != col and f:
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], row)]
-    return [[m[i][n + t] for i in range(n)] for t in range(len(targets))]
+            if i != col:
+                m[i] = [(pivot * a - f * b) // previous for a, b in zip(m[i], row)]
+        previous = pivot
+    return [[Fraction(m[i][n + t], previous) for i in range(n)]
+            for t in range(len(targets))]
 
 
 CERTIFICATE_PRIME = (1 << 61) - 1

@@ -2,8 +2,12 @@
 
 Every builtin is defined by model-language source text and built by
 ``dsl.load_model`` as it reads that text, so ``models emit`` output and the
-analyzed object can never drift apart.  The two PDE families take an arbitrary polynomial parameter
-function; their classification outcome is independent of it.
+analyzed object can never drift apart.  The two PDE families take an
+arbitrary rational parameter function; their classification outcome is
+independent of it.  ``eq3_source``/``eq4_source`` give a member's text, and
+``model_eq3``/``model_eq4`` build the same member from values, with no text
+in between: one helper per family computes the coefficient that both the
+text and the value carry.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Chart, RatFunc
-from .calculus import VectorField, coordinate_field
-from .distribution import Distribution, bracket_span, span_reduce
+from .calculus import OneForm, VectorField, coordinate_field
+from .distribution import Distribution, annihilator_frame, bracket_span, span_reduce
 from .dsl import ModelSource, load_model, parse_scalar
 from .errors import BadParameterSupport, LiftPreconditionFailed, UnknownModel
 
@@ -49,8 +53,7 @@ def _coerce_parameter(f, chart, what):
     return chart.const(f)
 
 
-def _eq_model_chart():
-    return Chart("PDE", EQ_CHART_VARIABLES)
+_PDE = Chart("PDE", EQ_CHART_VARIABLES)
 
 
 def _eq_source(third_form_coeff_x, tasks=("branch",)):
@@ -70,22 +73,40 @@ def _eq_source(third_form_coeff_x, tasks=("branch",)):
     return "\n".join(lines) + "\n"
 
 
+def _eq_distribution(third_form_coeff_x):
+    """``ann(w1, w2, w3)`` of ``_eq_source``'s forms, built from values."""
+    zero, one = _PDE.zero(), _PDE.one()
+    u2, z = _PDE.var("u2"), _PDE.var("z")
+    # coefficients in chart order (u1, u2, u3, x, y, z)
+    forms = [OneForm(_PDE, [one, zero, zero, -u2, zero, zero]),
+             OneForm(_PDE, [zero, one, zero, -z, zero, zero]),
+             OneForm(_PDE, [zero, zero, one, third_form_coeff_x, z, zero])]
+    return annihilator_frame(forms)
+
+
+def _eq3_coefficient(parameter):
+    """The d(x)-coefficient F*y of eq3's third form, on the PDE chart."""
+    f = _coerce_parameter(parameter, _P3, "eq3 parameter")
+    return f.substitute(_PDE, {}) * _PDE.var("y")
+
+
+def _eq4_coefficient(parameter):
+    """The d(x)-coefficient y*u3 + y^2*z - F(x, u1, u2, z, u3 + y*z) of eq4's
+    third form, on the PDE chart."""
+    f = _coerce_parameter(parameter, _P4, "eq4 parameter")
+    y, z, u3 = _PDE.var("y"), _PDE.var("z"), _PDE.var("u3")
+    f_model = f.substitute(_PDE, {"w": u3 + y * z})
+    return -(f_model - y * u3 - y * y * z)
+
+
 def eq3_source(parameter=None):
     """PDE-family model with integrable reduced plane; parameter in (x,u1,u2,z)."""
-    f = _coerce_parameter(parameter, _P3, "eq3 parameter")
-    chart = _eq_model_chart()
-    f_model = f.substitute(chart, {})
-    return _eq_source(f_model * chart.var("y"))
+    return _eq_source(_eq3_coefficient(parameter))
 
 
 def eq4_source(parameter=None):
     """PDE-family model with non-integrable reduced plane; fifth slot is u3 + y*z."""
-    f = _coerce_parameter(parameter, _P4, "eq4 parameter")
-    chart = _eq_model_chart()
-    y, z, u3 = chart.var("y"), chart.var("z"), chart.var("u3")
-    f_model = f.substitute(chart, {"w": u3 + y * z})
-    coeff_x = -(f_model - y * u3 - y * y * z)
-    return _eq_source(coeff_x)
+    return _eq_source(_eq4_coefficient(parameter))
 
 
 _J21_SOURCE = """\
@@ -235,11 +256,13 @@ def get_model(name):
 
 
 def model_eq3(parameter=None):
-    return load_model(ModelSource(eq3_source(parameter), "<eq3>")).primary_dist()[1]
+    """The distribution of ``eq3_source(parameter)``, built from values."""
+    return _eq_distribution(_eq3_coefficient(parameter))
 
 
 def model_eq4(parameter=None):
-    return load_model(ModelSource(eq4_source(parameter), "<eq4>")).primary_dist()[1]
+    """The distribution of ``eq4_source(parameter)``, built from values."""
+    return _eq_distribution(_eq4_coefficient(parameter))
 
 
 def _fresh_variable(chart, base="s"):

@@ -511,11 +511,12 @@ class Analysis(Classification):
         [F_a, F_b]^i = sum_j F_a^j ∂_j F_b^i - F_b^j ∂_j F_a^i at the point,
         from the values of the frame and of its memoised ``RatFunc.partials()``
         (the brackets that built F4, F5, F7 and the d-function made those of
-        F1..F5; no pair has F7), then one elimination over ℚ of the frame's
-        values.  Raises PoleAtPoint where a frame coefficient has a pole (a
-        reduced partial's denominator divides den^2) or the frame has rank
-        below 6; elsewhere every reduced symbolic coordinate is regular at
-        the point and has exactly these values.
+        F1..F5; no pair has F7), then one fraction-free elimination
+        (``fraction_solve``) of the frame's integer pairs.  Raises
+        PoleAtPoint where a frame coefficient has a pole (a reduced partial's
+        denominator divides den^2) or the frame has rank below 6; elsewhere
+        every reduced symbolic coordinate is regular at the point and has
+        exactly these values.
         """
         fields = self.symbol_fields
         # every coefficient is evaluated before any bracket, so a pole raises here
@@ -523,9 +524,10 @@ class Analysis(Classification):
         if certified_pair_rank(pairs, 6) != 6:
             raise PoleAtPoint(
                 f"symbol frame degenerates at {point.render()}; choose another point")
-        values = [[Fraction(n, d) for n, d in row] for row in pairs]
+        # F7 is in no pair
+        values = [[Fraction(n, d) for n, d in row] for row in pairs[:-1]]
         jets = [[{j: dj.evaluate(point) for j, dj in c.partials().items()}
-                 for c in f.coefficients] for f in fields[:-1]]  # F7 is in no pair
+                 for c in f.coefficients] for f in fields[:-1]]
         brackets = []
         for a, b in _PAIRS:
             bracket = []
@@ -537,9 +539,9 @@ class Analysis(Classification):
                 for j, partial in jet_a.items():
                     if values[b][j]:
                         total -= values[b][j] * partial
-                bracket.append(total)
+                bracket.append((total.numerator, total.denominator))
             brackets.append(bracket)
-        return fraction_solve(values, brackets)
+        return fraction_solve(pairs, brackets)
 
     def symbol_at(self, point):
         """``(SymbolAlgebra, SymbolClass)`` at a point; see ``symbol_algebra_at``."""

@@ -1,17 +1,19 @@
 """Adapted frames, the symmetric bracket form, and the point trichotomy."""
 
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagrank import Analysis, Chart, Distribution, Echelon, PointClass, \
+from flagrank import Analysis, Chart, Distribution, Echelon, PointClass, PointQ, \
     adapted_frame, bracket_form, classification, classify_form_generic, \
     coordinate_field, get_model, lie_bracket, load_model, regularity_scan, \
     sample_points
 from flagrank.errors import NotGrowth356, PoleAtPoint, SampleBudgetExhausted
-from util import SINGULAR_SRC, rand_invertible, change_frame, sc, \
-    transformed_frame, vf
+from util import SINGULAR_SRC, fraction_sample_points, rand_invertible, \
+    change_frame, sc, transformed_frame, vf
 
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
 PDE = Chart("PDE", ("u1", "u2", "u3", "x", "y", "z"))
@@ -181,3 +183,28 @@ def test_classify_at_frame_degeneration_reports_pole():
     d = singular_model()
     cls = Analysis(d).class_at(d.chart.origin())
     assert cls is PointClass.PARABOLIC_NONDEG  # watershed point of the drift
+
+
+@pytest.mark.parametrize("dimension", range(1, 9))
+def test_integer_sample_stream_matches_fraction_twin(dimension):
+    # the stream is drawn as integer pairs; it must be the points that
+    # Fraction(randint(-4, 4), randint(1, 3)) drew, in the same order
+    chart = Chart(f"S{dimension}", [f"v{i}" for i in range(dimension)])
+    for seed in range(50):
+        drawn = islice(sample_points(chart, seed), 30)
+        twin = islice(fraction_sample_points(chart, seed), 30)
+        assert [p.coordinates for p in drawn] == [p.coordinates for p in twin]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 30),
+                          st.integers(-12, 12).filter(bool)), min_size=3, max_size=3))
+def test_point_from_integer_pairs_matches_point_from_fractions(pairs):
+    chart = Chart("P", ("a", "b", "c"))
+    lazy = PointQ(chart, pairs)
+    eager = PointQ(chart, [Fraction(n, d) for n, d in pairs])
+    assert lazy.render() == eager.render()
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert lazy.coordinates == eager.coordinates
+    poly = sc(chart, "3*a^2*b - c^3 + 2*a*c + 7").num
+    assert lazy.homogenized(poly) == eager.homogenized(poly)

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagrank import Chart, catalog_list, load_model, parse_scalar, render_model
+from flagrank import Chart, algebra, catalog_list, load_model, parse_scalar, \
+    render_model
 from flagrank.dsl import TASK_NAMES, ModelSource
 from flagrank.errors import ArityError, DegenerateFrame, DuplicateName, \
     InconsistentChart, ModelSyntaxError, TypeMismatch, UnknownIdentifier
@@ -145,6 +146,25 @@ def test_expression_powers_and_fractions():
     chart = Chart("M", ("x", "y"))
     f = parse_scalar(chart, "(x + y)^2 / (2*x)")
     assert f == (chart.var("x") + chart.var("y")) ** 2 / (chart.var("x") * 2)
+
+
+def test_divisor_power_enters_as_its_base(monkeypatch):
+    # the reader expanded (1 + z^2)^2 before dividing by it, and splitting
+    # the expanded power again took 3 poly_gcd calls
+    chart = Chart("P3", ("x", "u1", "u2", "z"))
+    gcds = []
+    original = algebra.poly_gcd
+
+    def counted(f, g):
+        gcds.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(algebra, "poly_gcd", counted)
+    divided = parse_scalar(chart, "(x + u1)/(1 + z^2)^2")
+    multiplied = parse_scalar(chart, "(x + u1)*(1 + z^2)^-2")
+    assert gcds == []
+    assert divided.render() == multiplied.render() == "(x + u1)/(z^4 + 2*z^2 + 1)"
+    assert divided.bases == multiplied.bases
 
 
 def test_scalar_division_by_zero_function():

@@ -11,8 +11,9 @@ from flagrank.errors import PoleAtPoint
 from flagrank import linalg
 from flagrank.linalg import CERTIFICATE_PRIME, Echelon, fraction_rank, \
     fraction_solve
-from util import certified_prefix_ranks, certified_rank, rand_polynomial, rand_ratfunc, \
-    rank_or_pole, ref_div, ref_mul, ref_sub, sc, sparse_ratfuncs, vf
+from util import certified_prefix_ranks, certified_rank, gauss_jordan_solve, \
+    rand_polynomial, rand_ratfunc, rank_or_pole, ref_div, ref_mul, ref_sub, sc, \
+    sparse_ratfuncs, vf
 
 CH = Chart("A", ("x", "y", "z"))
 J21 = Chart("J21", ("t", "u", "v", "u1", "u2", "v1"))
@@ -261,6 +262,10 @@ def test_point_rank_pivots_on_constants_only():
     assert point_rank.rank_at(CH.point((2, 1, 0)), 2) == 2
 
 
+def _pairs(vectors):
+    return [[(q.numerator, q.denominator) for q in v] for v in vectors]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.lists(st.lists(_grid, min_size=n, max_size=n), min_size=n, max_size=n),
@@ -270,13 +275,50 @@ def test_fraction_solve_reconstructs_every_target(system):
     n = len(columns)
     if fraction_rank(columns) < n:
         with pytest.raises(ValueError):
-            fraction_solve(columns, targets)
+            fraction_solve(_pairs(columns), _pairs(targets))
         return
-    solved = fraction_solve(columns, targets)
+    solved = fraction_solve(_pairs(columns), _pairs(targets))
     assert len(solved) == len(targets)
     for target, coords in zip(targets, solved):
         assert [sum(c * col[i] for c, col in zip(coords, columns))
                 for i in range(n)] == target
+
+
+# n/d with d of either sign and not always coprime to n, as integer_pair gives
+_pair = st.tuples(st.integers(-4, 4), st.integers(1, 4).flatmap(
+    lambda d: st.sampled_from((d, -d))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_pair, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(_pair, min_size=n, max_size=n), max_size=3),
+    st.sampled_from(("as drawn", "zero pivot", "zero column", "repeated column")))))
+def test_fraction_solve_matches_gauss_jordan_twin(system):
+    # the fraction-free elimination against the Fraction one it replaced:
+    # a zero first pivot forces a row swap, and a zero or repeated column
+    # makes the columns singular
+    columns, targets, shape = system
+    n = len(columns)
+    if shape == "zero pivot":
+        columns[0][0] = (0, 1)
+    elif shape == "zero column":
+        columns[-1] = [(0, 1)] * n
+    elif shape == "repeated column" and n > 1:
+        columns[-1] = [(-2 * a, b) for a, b in columns[0]]
+
+    def values(vectors):
+        return [[Fraction(a, b) for a, b in v] for v in vectors]
+
+    try:
+        expected = gauss_jordan_solve(values(columns), values(targets))
+    except ValueError:
+        with pytest.raises(ValueError, match="not a basis"):
+            fraction_solve(columns, targets)
+        return
+    solved = fraction_solve(columns, targets)
+    assert solved == expected
+    assert all(type(c) is Fraction for coords in solved for c in coords)
 
 
 def test_rank_generic_inserts_small_rows_first():

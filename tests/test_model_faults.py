@@ -68,6 +68,10 @@ SCALAR_FAULTS = [
     ("@x", TypeMismatch, 1, 1),
     ("(x*d(y))", TypeMismatch, 1, 1),
     ("x / (y - y)", TypeMismatch, 1, 3),
+    ("x / (y - y)^2", TypeMismatch, 1, 3),
+    ("x / (y - y)^-1", TypeMismatch, 1, 12),
+    ("x / -@y", TypeMismatch, 1, 3),
+    ("x / @y^2", TypeMismatch, 1, 7),
 ]
 
 

@@ -2,13 +2,15 @@
 
 import io
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagrank import Analysis, Chart, PointClass, Verdict, VectorField, algebra, \
     branch_classify, catalog_list, coordinate_field, derived_flag, \
-    eq3_parameter_chart, eq4_parameter_chart, get_model, lift_pair, load_model, \
-    model_eq3, model_eq4, parse_scalar
+    eq3_parameter_chart, eq3_source, eq4_parameter_chart, eq4_source, get_model, \
+    lift_pair, load_model, model_eq3, model_eq4, parse_scalar
 from flagrank.cli import main
 from flagrank.errors import BadParameterSupport, LiftPreconditionFailed, \
     UnknownModel
@@ -47,6 +49,59 @@ def test_demo_models_classify():
     for name, expected in (("elliptic", PointClass.ELLIPTIC),
                            ("hyperbolic", PointClass.HYPERBOLIC)):
         assert Analysis(get_model(name).distribution()).generic_class is expected
+
+
+def _family_parameter(family, terms, denominator, as_ratfunc):
+    """Parameter text of (coefficient, exponents) terms, over 1 + v^2 when
+    ``denominator`` names v; parsed on the family's chart for a RatFunc."""
+    chart = eq3_parameter_chart() if family == "eq3" else eq4_parameter_chart()
+    text = " + ".join(f"{c}*" + "*".join(f"{v}^{k}" for v, k in
+                                        zip(chart.variables, exps)) for c, exps in terms)
+    if denominator is not None:
+        text = f"({text})/(1 + {denominator}^2)"
+    return parse_scalar(chart, text) if as_ratfunc else text
+
+
+@st.composite
+def family_members(draw):
+    family = draw(st.sampled_from(("eq3", "eq4")))
+    variables = ("x", "u1", "u2", "z") + (("w",) if family == "eq4" else ())
+    if draw(st.booleans()):
+        return family, None
+    terms = draw(st.lists(st.tuples(
+        st.integers(-9, 9).filter(bool),
+        st.lists(st.integers(0, 2), min_size=len(variables), max_size=len(variables))),
+        min_size=1, max_size=4))
+    denominator = draw(st.sampled_from((None,) + variables))
+    return family, _family_parameter(family, terms, denominator, draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_members())
+def test_family_builders_match_their_model_text(member):
+    # the builders make the distribution from values; reading the family's
+    # text must give the same frame
+    family, parameter = member
+    build, source = (model_eq3, eq3_source) if family == "eq3" else (model_eq4, eq4_source)
+    built = build(parameter).frame
+    read = load_model(source(parameter)).primary_dist()[1].frame
+    assert [f.render() for f in built] == [f.render() for f in read]
+
+
+def test_family_builders_read_no_model_text(monkeypatch):
+    expected = {"eq3": get_model("eq5").distribution().frame,
+                "eq4": get_model("eq6").distribution().frame}
+
+    def refuse(source):
+        raise AssertionError("a family builder read model text")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flagrank") and vars(module).get("load_model") is load_model:
+            monkeypatch.setattr(module, "load_model", refuse)
+    assert model_eq3().frame == expected["eq3"]
+    assert model_eq4().frame == expected["eq4"]
+    assert model_eq3("x*z/(1 + u1^2)").generic_rank == 3
+    assert model_eq4(eq4_parameter_chart().var("w")).generic_rank == 3
 
 
 def test_eq3_family_accepts_strings_and_ratfuncs():

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +11,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import flagrank
-from flagrank import AdaptedFrame, Distribution, FlagBranch, Polynomial, RatFunc, \
-    VectorField, bracket_span, coordinate_field, lie_bracket, parse_scalar
+from flagrank import AdaptedFrame, Distribution, FlagBranch, PointQ, Polynomial, \
+    RatFunc, VectorField, bracket_span, coordinate_field, lie_bracket, parse_scalar
 from flagrank import linalg
 from flagrank.algebra import _gcd_fold, poly_gcd
 from flagrank.errors import PoleAtPoint
@@ -201,6 +202,41 @@ def det(matrix):
         sign = -1 if j % 2 else 1
         total += sign * matrix[0][j] * det(minor)
     return total
+
+
+def gauss_jordan_solve(columns, targets):
+    """The slow twin of ``linalg.fraction_solve`` over rational entries.
+
+    One Gauss–Jordan elimination of [columns | targets] over ``Fraction``,
+    every pivot row scaled to one; ValueError when the columns are not a
+    basis.
+    """
+    n = len(columns)
+    m = [[Fraction(v[i]) for v in columns] + [Fraction(t[i]) for t in targets]
+         for i in range(n)]
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot_row is None:
+            raise ValueError("the columns are not a basis")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        row = m[col]
+        piv = row[col]
+        if piv != 1:
+            row = m[col] = [a / piv if a else a for a in row]
+        for i in range(n):
+            f = m[i][col]
+            if i != col and f:
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], row)]
+    return [[m[i][n + t] for i in range(n)] for t in range(len(targets))]
+
+
+def fraction_sample_points(chart, seed):
+    """The slow twin of ``classification.sample_points``: coordinates
+    ``Fraction(randint(-4, 4), randint(1, 3))``, built as ``Fraction``s."""
+    rng = random.Random(seed)
+    while True:
+        yield PointQ(chart, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                             for _ in range(chart.dimension)])
 
 
 # Y's @z coefficient (x1^2 + y*x2^2)/2 gives the form [[-1, 0], [0, -y]] up to
