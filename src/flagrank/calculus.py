@@ -3,9 +3,10 @@
 ``VectorField.apply(f)`` sums c_i * d_i f over the partials of f only, and
 each ``RatFunc`` computes its partials once per object, so a coefficient
 that many brackets share is differentiated once.  ``apply``, each
-coefficient of ``lie_bracket`` and ``pairing`` are each one call of
-``algebra.sum_of_products``: the products are summed over a common
-denominator and reduced once, with no intermediate ``RatFunc``.
+coefficient of ``lie_bracket`` with a product of nonzero factors, and
+``pairing`` are each one call of ``algebra.sum_of_products``: the products
+are summed over a common denominator and reduced once, with no intermediate
+``RatFunc``.  A bracket coefficient with no such product is the chart's zero.
 """
 
 from __future__ import annotations
@@ -125,10 +126,16 @@ def lie_bracket(x, y):
         raise TypeError("lie_bracket needs two vector fields")
     if x.chart != y.chart:
         raise ChartMismatch("bracket of fields on different charts")
-    coeffs = [sum_of_products(x.chart, x._derivative_terms(cy, 1)
-                              + y._derivative_terms(cx, -1))
-              for cx, cy in zip(x.coefficients, y.coefficients)]
-    return VectorField(x.chart, coeffs)
+    chart = x.chart
+    coeffs = []
+    for cx, cy in zip(x.coefficients, y.coefficients):
+        # products of nonzero coefficients only: a coefficient with none is
+        # the chart's zero, with no summation
+        triples = x._derivative_terms(cy, 1) if cy.num.terms else []
+        if cx.num.terms:
+            triples += y._derivative_terms(cx, -1)
+        coeffs.append(sum_of_products(chart, triples) if triples else chart.zero())
+    return VectorField(chart, coeffs)
 
 
 def pairing(form, field):

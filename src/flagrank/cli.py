@@ -9,7 +9,10 @@ produce byte-identical output; wall-clock timing appears in text mode only.
 request then builds one ``Analysis`` per target distribution, with the
 request's ``--samples`` and ``--seed``, and hands it to every task, so tasks
 share their stages (one derived flag, frame, form, generic class, scan and
-flag per distribution) and nothing is kept after the request.
+flag per distribution).  The argument parser is built on the first call of
+``main`` and reused by every later call; it holds no request state, and the
+``--seed`` default is read from ``FLAGRANK_SEED`` at each call.  Reports are
+written by one canonical JSON writer, ``_json_dump``, in both formats.
 
 Exit codes: 0 success, 2 model-text errors, an unreadable model file, or a
 malformed ``--tasks``, ``--point`` or ``--seed``, 3 precondition failures,
@@ -20,12 +23,12 @@ as ``InternalError`` without a traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .algebra import PointQ, decimal_to_int
@@ -95,7 +98,44 @@ def _parse_point_text(chart, text):
 
 
 def _json_dump(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, written directly.
+
+    With an indent, ``json.dumps`` runs CPython's pure-Python encoder; the
+    report values need only a few of its branches.  ``payload`` is built of
+    str, int, bool, None, lists, tuples and dicts with str keys; any other
+    value or key raises TypeError.
+    """
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(value, newline):
+    """``value`` as JSON, indented for the depth whose line break is ``newline``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_quote(key) + ": " + _json_text(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _task_growth(analysis, request):
@@ -221,16 +261,15 @@ def _build_report(model, model_name, request, results):
 
 
 def _render_text_report(report, elapsed):
-    lines = [f"flagrank {report['tool']['version']} report"]
     model = report["model"]
-    lines.append(f"model: {model['name']} ({model['origin']})")
     chart = model["chart"]
-    lines.append(f"chart: {chart['name']}({', '.join(chart['variables'])})")
+    parts = [f"flagrank {report['tool']['version']} report\n",
+             f"model: {model['name']} ({model['origin']})\n",
+             f"chart: {chart['name']}({', '.join(chart['variables'])})\n"]
     for task, fragment in sorted(report["results"].items()):
-        lines.append(f"-- {task} --")
-        lines.append(json.dumps(fragment, sort_keys=True, indent=2))
-    lines.append(f"timing: {elapsed:.3f}s")
-    return "\n".join(lines) + "\n"
+        parts += [f"-- {task} --\n", _json_dump(fragment)]
+    parts.append(f"timing: {elapsed:.3f}s\n")
+    return "".join(parts)
 
 
 def _emit_error(kind, message, fmt, out):
@@ -318,6 +357,8 @@ def _cmd_models(ns, out):
 
 
 def build_arg_parser():
+    """The ``flagrank`` parser; its ``analyze`` subparser is ``parser.analyze``,
+    where ``main`` sets the ``--seed`` default at each call."""
     parser = argparse.ArgumentParser(
         prog="flagrank",
         description="Exact classification of rank-3 distributions on six-charts.")
@@ -336,6 +377,7 @@ def build_arg_parser():
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--point", default=None,
                          help="evaluate pointwise tasks at '(q, ..., q)'")
+    parser.analyze = analyze
 
     models = sub.add_parser("models", help="inspect bundled models")
     models_sub = models.add_subparsers(dest="models_command", required=True)
@@ -346,9 +388,18 @@ def build_arg_parser():
     return parser
 
 
+_PARSER = None  # built by the first call of main, then reused
+
+
 def main(argv=None, out=None):
+    global _PARSER
     out = out if out is not None else sys.stdout
-    parser = build_arg_parser()
+    if _PARSER is None:
+        _PARSER = build_arg_parser()
+    parser = _PARSER
+    # argparse converts a string default, so a non-integer FLAGRANK_SEED
+    # still exits 2 with its usage message
+    parser.analyze.set_defaults(seed=os.environ.get("FLAGRANK_SEED", "0"))
     ns = parser.parse_args(argv)
     fmt = getattr(ns, "format", "text")
     try:

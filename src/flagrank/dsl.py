@@ -34,6 +34,7 @@ Grammar sketch::
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,12 +50,7 @@ RESERVED = {"chart", "field", "form", "dist", "point", "task", "span", "ann", "d
 TASK_NAMES = ("growth", "classify", "scan", "flag", "symbol", "branch", "lift")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")
 
 
 def _tokenize(text, origin):

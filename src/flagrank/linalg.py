@@ -63,7 +63,7 @@ class Echelon:
             raise ValueError("vector width mismatch")
         for row, (col, _) in zip(self.rows, self.pivots):
             c = v[col]
-            if not c.is_zero():
+            if c.num.terms:
                 v = _eliminate(v, c, row)
         return v
 
@@ -87,7 +87,7 @@ class Echelon:
         if len(self.rows) == self.width == len(v):
             return False  # the span is already the whole space
         v = self.residual(v)
-        candidates = [(j, e) for j, e in enumerate(v) if not e.is_zero()]
+        candidates = [(j, e) for j, e in enumerate(v) if e.num.terms]
         if not candidates:
             return False
         col, pivot = min(candidates, key=lambda je: _pivot_score(je[1], je[0]))
@@ -100,13 +100,13 @@ class Echelon:
             for j, e in enumerate(v):
                 if e is pivot:
                     v[j] = one
-                elif not e.is_zero():
+                elif e.num.terms:
                     if inverse is None:
                         inverse = pivot.reciprocal()
                     v[j] = e * inverse
         for i, row in enumerate(self.rows):
             c = row[col]
-            if not c.is_zero():
+            if c.num.terms:
                 self.rows[i] = _eliminate(row, c, v)
         self.rows.append(v)
         self.pivots.append((col, was_constant))
@@ -115,7 +115,7 @@ class Echelon:
 
 def _eliminate(v, c, row):
     """``v - c * row``, entrywise; zero entries of ``row`` leave ``v`` as is."""
-    return [a if b.is_zero() else a - c * b for a, b in zip(v, row)]
+    return [a - c * b if b.num.terms else a for a, b in zip(v, row)]
 
 
 def rank_generic(rows):
@@ -220,7 +220,7 @@ class PointRank:
         self.chart = rows[0][0].chart if rows and rows[0] else None
         self.denominators = tuple({q: None for row in rows for e in row
                                    for q, _, _ in e.bases})
-        rows = [list(row) for row in rows if not all(e.is_zero() for e in row)]
+        rows = [list(row) for row in rows if any(e.num.terms for e in row)]
         pivots = 0
         while True:
             found = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
@@ -233,9 +233,9 @@ class PointRank:
             reduced = []
             for row in rows:
                 c = row.pop(col)
-                if not c.is_zero():
+                if c.num.terms:
                     row = _eliminate(row, c * inverse, pivot_row)
-                if not all(e.is_zero() for e in row):
+                if any(e.num.terms for e in row):
                     reduced.append(row)
             rows = reduced
             pivots += 1

@@ -8,6 +8,8 @@ from flagrank import Chart, OneForm, Polynomial, RatFunc, VectorField, \
     coordinate_field, lie_bracket, pairing
 from hypothesis import given, settings, strategies as st
 
+from flagrank import calculus
+from flagrank.algebra import sum_of_products
 from flagrank.errors import ChartMismatch
 from util import rand_ratfunc, ref_add, ref_derivative, ref_lie_bracket, ref_mul, sc, \
     sparse_ratfuncs, vf
@@ -105,6 +107,42 @@ _fields = st.lists(sparse_ratfuncs(CH, max_exponent=1), min_size=3, max_size=3).
 @given(_fields, _fields)
 def test_lie_bracket_matches_unshortcut_reference(x, y):
     assert lie_bracket(x, y) == ref_lie_bracket(x, y)
+
+
+def _has_live_product(x, y, i):
+    """Whether [X,Y]^i has a product X^j d_j Y^i or Y^j d_j X^i of nonzero factors."""
+    return any(not a.is_zero() and not ref_derivative(b.coefficients[i], var).is_zero()
+               for a_field, b in ((x, y), (y, x))
+               for a, var in zip(a_field.coefficients, CH.variables))
+
+
+def test_zero_bracket_coefficients_skip_the_summation(monkeypatch):
+    calls = []
+
+    def counted(chart, triples):
+        calls.append(None)
+        return sum_of_products(chart, triples)
+
+    monkeypatch.setattr(calculus, "sum_of_products", counted)
+    fields = [coordinate_field(CH, v) for v in CH.variables] + [
+        vf(CH, 1, "-3/2", 0), vf(CH, 0, 2, 5), vf(CH, "x", 0, 1), vf(CH, "y*z", 0, "1/x")]
+    zero = CH.zero()
+    for x in fields:
+        for y in fields:
+            calls.clear()
+            bracket = lie_bracket(x, y)
+            live = [_has_live_product(x, y, i) for i in range(CH.dimension)]
+            assert len(calls) == sum(live)
+            assert bracket == ref_lie_bracket(x, y)
+            for c, has_product in zip(bracket.coefficients, live):
+                if not has_product:
+                    assert c is zero
+    # coordinate fields and constant coefficients bracket to zero without a sum
+    calls.clear()
+    for x in fields[:5]:
+        for y in fields[:5]:
+            assert all(c is zero for c in lie_bracket(x, y).coefficients)
+    assert not calls
 
 
 def _ref_apply(field, f):

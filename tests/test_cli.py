@@ -248,6 +248,108 @@ def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
     assert json.loads(text)["request"]["seed"] == 4
 
 
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    original = cli.build_arg_parser
+
+    def counted():
+        built.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_arg_parser", counted)
+    for argv in (["analyze", "--builtin", "j21", "--tasks", "classify", "--format", "json"],
+                 ["analyze", "--builtin", "eq5", "--tasks", "growth"],
+                 ["models", "list", "--format", "json"]):
+        assert run_cli(argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_reused_parser_reads_the_seed_variable_at_each_call(monkeypatch, capsys):
+    argv = ["analyze", "--builtin", "j21", "--tasks", "classify", "--format", "json"]
+
+    def seed_of(argv):
+        code, text = run_cli(argv)
+        assert code == 0
+        return json.loads(text)["request"]["seed"]
+
+    monkeypatch.delenv("FLAGRANK_SEED", raising=False)
+    seed_of(argv)  # the parser now exists and every call below reuses it
+    parser = cli._PARSER
+    monkeypatch.setenv("FLAGRANK_SEED", "9")
+    assert seed_of(argv) == 9
+    monkeypatch.delenv("FLAGRANK_SEED")
+    assert seed_of(argv) == 0
+    monkeypatch.setenv("FLAGRANK_SEED", "abc")
+    with pytest.raises(SystemExit) as info:
+        run_cli(argv)
+    assert info.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    assert seed_of(argv + ["--seed", "4"]) == 4
+    assert cli._PARSER is parser
+
+
+def test_a_usage_error_leaves_the_next_report_unchanged(capsys):
+    argv = ["analyze", "--builtin", "eq6", "--tasks", "branch,scan,symbol",
+            "--format", "json", "--seed", "5"]
+    _, before = run_cli(argv)
+    code, text = run_cli(["analyze", "--builtin", "eq6", "--tasks", "scan,bogus",
+                          "--samples", "3", "--seed", "7", "--point", "(1, 2, 3, 4, 5, 6)",
+                          "--format", "json"])
+    assert code == 2 and json.loads(text)["error"]["type"] == "UsageError"
+    with pytest.raises(SystemExit):
+        run_cli(["analyze", "--builtin", "eq6", "--samples", "2", "--format", "xml"])
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    _, after = run_cli(argv)
+    assert after == before
+
+
+@pytest.mark.parametrize("builtin, tasks", [
+    ("eq6", "growth,classify,scan,flag,symbol,branch"),
+    ("hyperbolic", "growth,classify,scan"),
+])
+def test_text_report_fragments_are_canonical_json(builtin, tasks):
+    argv = ["analyze", "--builtin", builtin, "--tasks", tasks, "--samples", "5",
+            "--point", "(1, 1, 1, 1, 1, 1)"]
+    code, text = run_cli(argv)
+    assert code == 0
+    _, as_json = run_cli(argv + ["--format", "json"])
+    results = json.loads(as_json)["results"]
+    lines = text.splitlines(keepends=True)
+    assert len(lines) > 4 and lines[-1].startswith("timing: ")
+    assert "".join(lines[3:-1]) == "".join(
+        f"-- {task} --\n" + json.dumps(results[task], sort_keys=True, indent=2) + "\n"
+        for task in sorted(results))
+
+
+_JSON_STRINGS = st.text(alphabet=st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\uffff'),
+    st.integers(0xD800, 0xDFFF).map(chr)))  # lone surrogates
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-2 ** 200, 2 ** 200), _JSON_STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": [0, 2.0]}, {1, 2}, [set()], Fraction(1, 2), {"a": Fraction(3)},
+    {1: "a"}, {"a": {"b": 0, None: 1}}, {(1,): 0},
+])
+def test_json_writer_rejects_other_values(value):
+    with pytest.raises(TypeError):
+        cli._json_dump(value)
+
+
 def test_missing_model_file_is_a_usage_error(tmp_path):
     path = str(tmp_path / "absent.dist")
     code, text = run_cli(["analyze", path, "--format", "json"])
